@@ -16,6 +16,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -115,6 +116,16 @@ def _invalid(message: str) -> int:
     return 2
 
 
+def _memory_guard(n: int) -> int | None:
+    """Exit code 2 if the grids of one full-state evolution exceed physical memory."""
+    need = 2 * n * n * 16  # the state grid and the step's output, complex128
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        return _invalid(f"n={n} needs {need / 2**30:.1f} GiB for the full-state grids, "
+                        f"more than the {have / 2**30:.1f} GiB of physical memory")
+    return None
+
+
 def _parse_marked(args, n: int) -> frozenset[int] | None:
     """Resolve --k / --marked-list into a vertex set; None means invalid."""
     if args.marked_list is not None:
@@ -142,7 +153,7 @@ def _parse_marked(args, n: int) -> frozenset[int] | None:
 
 def _step_rows_reduced(n: int, k: int, phase: float, steps: int) -> list[dict]:
     op = reduced.reduced_operator(n, k, phase)
-    series = reduced._component_series(op, reduced.reduced_initial_state(n, k), steps)
+    series = reduced.component_series(op, reduced.reduced_initial_state(n, k), steps)
     rows = []
     for i in range(steps + 1):
         weights = np.abs(series[i]) ** 2
@@ -160,28 +171,28 @@ def _step_rows_reduced(n: int, k: int, phase: float, steps: int) -> list[dict]:
 
 
 def _step_rows_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[list[dict], int]:
-    state = core.initial_state(config.n_vertices)
+    grid = core.to_grid(core.initial_state(config.n_vertices), config.n_vertices)
     ledger = QueryLedger()
     f = OracleFunction(n_vertices=config.n_vertices, marked_set=config.marked_set)
     rows = []
     for i in range(steps + 1):
-        comps, residual = reduced.project(state, config)
+        comps, residual = reduced.project(grid, config)
         weights = np.abs(comps) ** 2
         rows.append({
             "step": i,
-            "p_marked": core.marked_probability(state, config),
+            "p_marked": core.marked_probability(grid, config),
             "p_w1": float(weights[0]),
             "p_w2": float(weights[1]),
             "p_w3": float(weights[2]),
             "p_w4": float(weights[3]),
             "residual": residual,
-            "norm_error": abs(float(np.linalg.norm(state)) - 1.0),
+            "norm_error": abs(float(np.linalg.norm(grid)) - 1.0),
         })
         if i < steps:
             if use_oracle:
-                state = oracle.oracle_step(state, f, ledger)
+                grid = oracle.oracle_step(grid, f, ledger)
             else:
-                state = core.apply_step(state, config)
+                grid = core.apply_step(grid, config)
     return rows, ledger.quantum_calls
 
 
@@ -238,6 +249,8 @@ def cmd_run(args) -> int:
         marked = _parse_marked(args, args.n)
         if marked is None:
             return 2
+        if args.engine != "reduced" and (code := _memory_guard(args.n)):
+            return code
         result = _single_run(args.n, marked, phase, args.steps, args.engine)
         if isinstance(result, int):
             return result
@@ -257,8 +270,11 @@ def cmd_run(args) -> int:
             return _invalid(f"n-range {args.n_range!r} must satisfy 3 <= a <= b, step >= 1")
         if args.marked_list is not None:
             return _invalid("marked-list cannot be combined with a sweep; use --k")
+        sizes = range(start, stop + 1, stride)
+        if args.engine != "reduced" and (code := _memory_guard(sizes[-1])):
+            return code
         rows = []
-        for n in range(start, stop + 1, stride):
+        for n in sizes:
             marked = _parse_marked(args, n)
             if marked is None:
                 return 2
@@ -308,6 +324,8 @@ def cmd_stats(args) -> int:
         return _invalid(f"runs={args.runs} must be >= 1")
     if args.mode == "mc" and args.n is None:
         return _invalid("mc mode requires --n")
+    if args.mode == "mc" and args.engine == "full" and (code := _memory_guard(args.n)):
+        return code
     try:
         if args.mode == "exact":
             dist = stats.coverage_distribution(args.k, args.runs, "exact")

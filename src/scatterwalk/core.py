@@ -1,33 +1,37 @@
 """Full-state engine for the scattering walk on a complete graph.
 
 The walker lives on directed edges of the complete graph on N vertices.
-A state is a complex vector over all N(N-1) ordered pairs (m, l), m != l,
-read as "traveling from m to l", stored in canonical order
+One step scatters every amplitude at its destination vertex with the
+Grover-type local unitary (reflection -r back along the incoming edge,
+transmission t to every other outgoing edge, t = 2/(N-1), r = 1 - t) and
+applies a phase e^{i*phi} whenever the walker enters or leaves an edge
+whose endpoints both belong to the marked vertex set.
 
-    index(m, l) = m*(N-1) + (l if l < m else l - 1)
+State layout.  Internally a state is an N x N complex grid, A[m, l] the
+amplitude of "traveling from m to l", with a zero diagonal.  Packed
+vectors exist only at the API boundary: the N(N-1) amplitudes in
+canonical order index(m, l) = m*(N-1) + (l if l < m else l - 1), i.e. the
+grid row-major without its diagonal.  Every public function taking a
+state accepts either layout, unpacks a packed one once on entry and
+returns (or reads) the layout it was given.  A returned grid may be a
+transposed view: indexing is unaffected, only the memory order alternates.
 
-i.e. row-major over sources with the diagonal removed.  One step scatters
-every amplitude at its destination vertex with the Grover-type local
-unitary (reflection -r back along the incoming edge, transmission t to
-every other outgoing edge, t = 2/(N-1), r = 1 - t) and applies a phase
-e^{i*phi} whenever the walker enters or leaves an edge whose endpoints
-both belong to the marked vertex set.
-
-The step is computed matrix-free in O(N^2): writing A[m, l] for the
-amplitude on (m, l), the unmarked step is
-
-    out[l, m] = t * sum_k A[k, l] - A[m, l]
-
-which folds the reflection into the transmission using r + t = 1.  Marked
-phases are a diagonal sandwich around that kernel: multiply every edge
-internal to the marked set by e^{i*phi} before and after scattering,
-which reproduces e^{2i*phi} on reflection back into a marked edge and
-e^{i*phi} on entry or exit.
+The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
+unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
+reflection into the transmission by r + t = 1.  The kernel writes
+out^T = t*colsum[None, :] - A, reading A in its own memory order, and
+returns the free view out.  The marked phase is a diagonal sandwich
+(e^{i*phi} on every marked edge before and after scattering, which gives
+e^{2i*phi} on reflection back into a marked edge and e^{i*phi} on entry
+or exit), applied as a K x K block product on the marked rows and
+columns with colsum corrected on the marked columns; then the diagonal
+is re-zeroed.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -42,7 +46,12 @@ __all__ = [
     "edge_endpoints",
     "edge_endpoint_arrays",
     "n_edge_states",
+    "to_grid",
+    "to_packed",
     "initial_state",
+    "check_steps",
+    "marked_vertices",
+    "step_grid",
     "apply_step",
     "evolve",
     "marked_probability",
@@ -124,13 +133,10 @@ def edge_endpoints(n_vertices: int, index: int) -> tuple[int, int]:
 @lru_cache(maxsize=32)
 def edge_endpoint_arrays(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """(sources, targets) for every packed index, in canonical order."""
-    n = n_vertices
-    sources = np.repeat(np.arange(n), n - 1)
-    offs = np.tile(np.arange(n - 1), n)
-    targets = offs + (offs >= sources)
-    sources.setflags(write=False)
-    targets.setflags(write=False)
-    return sources, targets
+    ends = tuple(to_packed(axis) for axis in np.indices((n_vertices, n_vertices)))
+    for axis in ends:
+        axis.setflags(write=False)
+    return ends
 
 
 @lru_cache(maxsize=32)
@@ -140,15 +146,31 @@ def _offdiag_mask(n_vertices: int) -> np.ndarray:
     return mask
 
 
-def _unpack(state: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Packed vector -> N x N matrix A with A[m, l] = amplitude(m -> l)."""
-    grid = np.zeros((n_vertices, n_vertices), dtype=np.complex128)
-    grid[_offdiag_mask(n_vertices)] = state
+def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Validated N x N grid A[m, l] = amplitude(m -> l) of a state in either layout.
+
+    A packed vector is unpacked into a fresh grid; a grid (zero diagonal)
+    is returned as given, not copied.
+    """
+    state = np.asarray(state, dtype=np.complex128)
+    n, dim = n_vertices, n_edge_states(n_vertices)
+    if state.shape not in ((n, n), (dim,)):
+        raise ValueError(f"state has shape {state.shape}, expected ({dim},) or ({n}, {n})")
+    if state.ndim == 2 and state.diagonal().any():
+        raise ValueError("grid state has a nonzero diagonal; no edge (m, m) exists")
+    # read as float64 pairs, which halves the time of a complex isfinite
+    if not np.isfinite(state.ravel(order="K").view(np.float64)).all():
+        raise ValueError("state contains non-finite amplitudes")
+    if state.ndim == 2:
+        return state
+    grid = np.zeros((n, n), dtype=np.complex128)
+    grid[_offdiag_mask(n)] = state
     return grid
 
 
-def _pack(grid: np.ndarray, n_vertices: int) -> np.ndarray:
-    return grid[_offdiag_mask(n_vertices)]
+def to_packed(grid: np.ndarray) -> np.ndarray:
+    """N x N grid (any memory layout) -> packed vector in canonical order."""
+    return grid[_offdiag_mask(grid.shape[0])]
 
 
 def initial_state(n_vertices: int) -> np.ndarray:
@@ -159,78 +181,80 @@ def initial_state(n_vertices: int) -> np.ndarray:
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
 
-def _check_state(state: np.ndarray, n_vertices: int) -> np.ndarray:
-    state = np.asarray(state, dtype=np.complex128)
-    expect = n_edge_states(n_vertices)
-    if state.shape != (expect,):
-        raise ValueError(
-            f"state has shape {state.shape}, expected ({expect},) for N={n_vertices}"
-        )
-    if not np.isfinite(state).all():
-        raise ValueError("state contains non-finite amplitudes")
-    return state
+def check_steps(steps) -> int:
+    """`steps` as an int; rejects bools, NaN, infinities, fractions and negatives."""
+    if (isinstance(steps, (bool, np.bool_)) or steps != steps or abs(steps) == math.inf
+            or steps < 0 or steps != int(steps)):
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    return int(steps)
 
 
-def _marked_index_list(config: WalkConfig) -> np.ndarray:
-    return np.fromiter(sorted(config.marked_set), dtype=np.intp, count=config.k_marked)
+def marked_vertices(marked_set) -> np.ndarray:
+    """Sorted marked-vertex array: every marked block and class index derives from it."""
+    return np.array(sorted(marked_set), dtype=np.intp)
 
 
-def _step_grid(grid: np.ndarray, t: float, marked: np.ndarray, phase: float) -> np.ndarray:
-    """One step on the N x N layout; `marked` is a sorted vertex index array."""
-    shift = len(marked) >= 2 and phase != 0.0
+def step_grid(
+    grid: np.ndarray, marked: np.ndarray, factor: complex = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One walk step on an N x N grid: the kernel behind every full-state path.
+
+    `marked` is a sorted marked-vertex array, `factor` the phase on edges
+    inside it.  Writes out^T into `out` (default: a fresh array laid out
+    like `grid`; passing `grid` steps in place) and returns the view out.
+    `grid` is not validated, copied or, unless it is `out`, modified.
+    """
+    t = coefficients(grid.shape[0]).t
+    colsum = grid.sum(axis=0)
+    shift = len(marked) >= 2 and factor != 1.0
     if shift:
-        factor = cmath.exp(1j * phase)
-        block = np.ix_(marked, marked)
-        grid = grid.copy()
-        grid[block] *= factor
-    incoming = grid.sum(axis=0)
-    out = t * incoming[:, None] - grid.T
+        block = (marked[:, None], marked)
+        inner = grid[block]
+        colsum[marked] += (factor - 1.0) * inner.sum(axis=0)
+    colsum *= t
+    if out is None:
+        out = np.empty_like(grid)
+    np.subtract(colsum, grid, out=out)
+    if shift:
+        out[block] = factor * colsum[marked] - factor * factor * inner
     np.fill_diagonal(out, 0.0)
-    if shift:
-        out[block] *= factor
-    return out
+    return out.T
 
 
 def apply_step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
-    """Apply one step of the walk, marked-edge phases included.
-
-    Returns a fresh state vector; the input is not modified.
-    """
-    state = _check_state(state, config.n_vertices)
-    t, _ = coefficients(config.n_vertices)
-    grid = _unpack(state, config.n_vertices)
-    out = _step_grid(grid, t, _marked_index_list(config), config.phase)
-    return _pack(out, config.n_vertices)
+    """One walk step, marked phases included; returns the input's layout, input unmodified."""
+    grid = to_grid(state, config.n_vertices)
+    packed = np.ndim(state) == 1
+    out = step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
+                    out=grid if packed else None)
+    return to_packed(out) if packed else out
 
 
 def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:
-    """Apply `steps` walk steps.  steps = 0 returns a copy of the input."""
-    if steps < 0 or steps != int(steps):
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
-    state = _check_state(state, config.n_vertices)
-    if steps == 0:
-        return state.copy()
-    t, _ = coefficients(config.n_vertices)
-    marked = _marked_index_list(config)
-    grid = _unpack(state, config.n_vertices)
-    for _ in range(int(steps)):
-        grid = _step_grid(grid, t, marked, config.phase)
-    return _pack(grid, config.n_vertices)
+    """`steps` walk steps on one grid, in place; returns the input's layout (a copy at 0)."""
+    steps = check_steps(steps)
+    packed = np.ndim(state) == 1
+    grid = to_grid(state, config.n_vertices)
+    grid = grid if packed else grid.copy()
+    marked, factor = marked_vertices(config.marked_set), cmath.exp(1j * config.phase)
+    for _ in range(steps):
+        grid = step_grid(grid, marked, factor, out=grid)
+    return to_packed(grid) if packed else grid
 
 
 def marked_edge_indices(config: WalkConfig) -> np.ndarray:
-    """Packed indices of all directed edges internal to the marked set."""
-    sources, targets = edge_endpoint_arrays(config.n_vertices)
-    member = np.zeros(config.n_vertices, dtype=bool)
-    member[list(config.marked_set)] = True
-    return np.nonzero(member[sources] & member[targets])[0]
+    """Packed indices of all directed edges internal to the marked set, ascending."""
+    marked = marked_vertices(config.marked_set)
+    inside = np.zeros((config.n_vertices,) * 2, dtype=bool)
+    inside[marked[:, None], marked] = True
+    return np.flatnonzero(to_packed(inside))
 
 
 def marked_probability(state: np.ndarray, config: WalkConfig) -> float:
     """Probability of measuring the walker on an edge internal to the marked set."""
-    state = _check_state(state, config.n_vertices)
-    idx = marked_edge_indices(config)
-    return float(np.sum(np.abs(state[idx]) ** 2))
+    grid = to_grid(state, config.n_vertices)
+    marked = marked_vertices(config.marked_set)
+    return float(np.sum(np.abs(grid[marked[:, None], marked]) ** 2))
 
 
 def dense_step_operator(config: WalkConfig) -> np.ndarray:

@@ -23,7 +23,6 @@ verification suites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -190,37 +189,35 @@ def conjugated_oracle(edge_state_index: int, f: OracleFunction) -> complex:
     return phase
 
 
-@lru_cache(maxsize=32)
-def _phase_vector_cached(n_vertices: int, marked: frozenset[int]) -> np.ndarray:
-    sources, targets = core.edge_endpoint_arrays(n_vertices)
-    member = np.zeros(n_vertices, dtype=bool)
-    member[list(marked)] = True
-    vec = np.where(member[sources] & member[targets], 1j, 1.0 + 0j)
-    vec.setflags(write=False)
-    return vec
-
-
 def marked_phase_vector(f: OracleFunction) -> np.ndarray:
     """Kickback phases for every packed edge index: i on marked edges, 1 off.
 
     Equals conjugated_oracle(index, f) entrywise; computed in bulk because
     one oracle call serves the whole register in superposition.
     """
-    return _phase_vector_cached(f.n_vertices, f.marked_set)
+    vec = np.ones(core.n_edge_states(f.n_vertices), dtype=np.complex128)
+    vec[core.marked_edge_indices(core.WalkConfig(f.n_vertices, f.marked_set))] = 1j
+    return vec
 
 
-def oracle_step(state: np.ndarray, f: OracleFunction, ledger: QueryLedger) -> np.ndarray:
+def oracle_step(
+    state: np.ndarray, f: OracleFunction, ledger: QueryLedger, out: np.ndarray | None = None
+) -> np.ndarray:
     """One walk step driven by the oracle: kickback, scatter, kickback.
 
-    Spends exactly two oracle calls, recorded on the ledger whether or not
-    any edge is marked.  Operationally identical to the phase-pi/2 walk
-    step of the full-state engine.
+    Takes and returns either state layout; a grid result is written into
+    `out` if given (`out=state` steps a grid in place).  Spends exactly two
+    oracle calls, recorded on the ledger whether or not any edge is marked.
+    The marked-edge phase is the oracle's own kickback e^{i pi f/2}, so the
+    step equals the phase-pi/2 walk step without being built from it.
     """
-    phases = marked_phase_vector(f)
-    unmarked = core.WalkConfig(n_vertices=f.n_vertices)
-    out = phases * core.apply_step(phases * np.asarray(state, dtype=np.complex128), unmarked)
+    grid = core.to_grid(state, f.n_vertices)
+    packed = np.ndim(state) == 1
+    marked = core.marked_vertices(f.marked_set)
+    kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
+    out = core.step_grid(grid, marked, kickback, out=grid if packed else out)
     ledger.quantum_calls += 2
-    return out
+    return core.to_packed(out) if packed else out
 
 
 def worst_case_scan_queries(n_vertices: int, k_marked: int) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ __all__ = [
     "embed",
     "spectral_decompose",
     "evolve_reduced",
+    "component_series",
     "asymptotic_amplitudes",
     "localization_rate",
     "asymptotic_params",
@@ -131,47 +131,45 @@ def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=64)
-def _class_indices_cached(n_vertices: int, marked: frozenset[int]) -> tuple[np.ndarray, ...]:
-    sources, targets = core.edge_endpoint_arrays(n_vertices)
-    member = np.zeros(n_vertices, dtype=bool)
-    member[list(marked)] = True
-    src_in, tgt_in = member[sources], member[targets]
-    classes = (
-        np.nonzero(~src_in & tgt_in)[0],   # w1
-        np.nonzero(src_in & ~tgt_in)[0],   # w2
-        np.nonzero(~src_in & ~tgt_in)[0],  # w3
-        np.nonzero(src_in & tgt_in)[0],    # w4
-    )
-    for idx in classes:
-        idx.setflags(write=False)
-    return classes
-
-
 def edge_class_indices(config: WalkConfig) -> tuple[np.ndarray, ...]:
     """Packed edge indices of the four classes, in (w1, w2, w3, w4) order."""
     _check_range(config.n_vertices, config.k_marked)
-    return _class_indices_cached(config.n_vertices, config.marked_set)
+    marked = core.marked_vertices(config.marked_set)
+    label = np.full((config.n_vertices,) * 2, 2)  # class index - 1 of every edge (m, l)
+    label[:, marked] = 0  # into the marked set
+    label[marked, :] = 1  # out of it
+    label[marked[:, None], marked] = 3  # inside it
+    packed = core.to_packed(label)
+    return tuple(np.flatnonzero(packed == c) for c in range(4))
 
 
 def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
-    """Overlaps (c1..c4) of a full state with the class basis, plus residual.
+    """Overlaps (c1..c4) of a full state (either layout) with the class basis, plus residual.
 
-    The residual is the norm of the component outside the subspace; it
-    stays at rounding level for any state reachable from the uniform
-    start.
+    Class sums come from the grid's marked rows, columns and block.  The
+    residual, the norm of the component outside the subspace, stays at
+    rounding level for any state reachable from the uniform start.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    classes = edge_class_indices(config)
-    comps = np.array(
-        [state[idx].sum() / np.sqrt(len(idx)) for idx in classes], dtype=np.complex128
-    )
+    n, k = config.n_vertices, config.k_marked
+    _check_range(n, k)
+    grid = core.to_grid(state, n)
+    marked = core.marked_vertices(config.marked_set)
+    block = (marked[:, None], marked)
+    s4 = grid[block].sum()
+    s1 = grid[:, marked].sum() - s4  # unmarked source -> marked target
+    s2 = grid[marked, :].sum() - s4  # marked source -> unmarked target
+    sums = np.array([s1, s2, grid.sum() - s1 - s2 - s4, s4])
+    sizes = np.array([k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1)])
+    means = sums / sizes
     # norm of the leftover component, not a difference of squared norms,
     # which would bottom out near sqrt(eps)
-    leftover = state.copy()
-    for comp, idx in zip(comps, classes):
-        leftover[idx] -= comp / np.sqrt(len(idx))
-    return comps, float(np.linalg.norm(leftover))
+    leftover = grid - means[2]
+    leftover[:, marked] = grid[:, marked] - means[0]
+    leftover[marked, :] = grid[marked, :] - means[1]
+    leftover[block] = grid[block] - means[3]
+    np.fill_diagonal(leftover, 0.0)
+    residual = np.linalg.norm(leftover.ravel(order="K").view(np.float64))  # one contiguous dot
+    return sums / np.sqrt(sizes), float(residual)
 
 
 def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
@@ -208,17 +206,16 @@ def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.nda
     Computed through the spectral decomposition, so the cost does not grow
     with the step count.
     """
-    if steps < 0 or steps != int(steps):
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
+    steps = core.check_steps(steps)
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (4,):
         raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
     spec = spectral_decompose(op)
     coeff = spec.eigenvectors.conj().T @ state
-    return spec.eigenvectors @ (spec.eigenvalues ** int(steps) * coeff)
+    return spec.eigenvectors @ (spec.eigenvalues ** steps * coeff)
 
 
-def _component_series(op: ReducedOperator, state: np.ndarray, horizon: int) -> np.ndarray:
+def component_series(op: ReducedOperator, state: np.ndarray, horizon: int) -> np.ndarray:
     """Reduced state for every n = 0..horizon, shape (horizon+1, 4)."""
     spec = spectral_decompose(op)
     coeff = spec.eigenvectors.conj().T @ np.asarray(state, dtype=np.complex128)
@@ -279,5 +276,5 @@ def optimal_steps(
             f"scan_horizon {horizon} too small: need at least {2 * params.n_opt}"
         )
     op = reduced_operator(n_vertices, k_marked, np.pi / 2)
-    series = _component_series(op, reduced_initial_state(n_vertices, k_marked), horizon)
+    series = component_series(op, reduced_initial_state(n_vertices, k_marked), horizon)
     return int(np.argmax(np.abs(series[:, 3]) ** 2))

@@ -113,10 +113,10 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
     ledger = QueryLedger() if ledger is None else ledger
     calls_before = ledger.quantum_calls
-    state = core.initial_state(n)
+    grid = core.to_grid(core.initial_state(n), n)
     for _ in range(n_opt):
-        state = oracle.oracle_step(state, f, ledger)
-    edge = sample_measurement(state, seed)
+        grid = oracle.oracle_step(grid, f, ledger, out=grid)
+    edge = sample_measurement(core.to_packed(grid), seed)
     return RunOutcome(
         edge=edge,
         success=edge[0] in config.marked_set and edge[1] in config.marked_set,

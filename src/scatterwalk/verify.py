@@ -10,7 +10,7 @@ dense checks to N = 12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,21 +47,9 @@ class ToleranceProfile:
     random_states: int = 20
 
 
-_TOLERANCE_FIELDS = (
-    "norm_tol",
-    "fixed_point_tol",
-    "dense_unitarity_tol",
-    "dense_match_tol",
-    "projection_tol",
-    "closure_tol",
-    "equivalence_tol",
-    "circuit_tol",
-    "reference_tol",
-)
-
-
 def _strict(profile: ToleranceProfile) -> ToleranceProfile:
-    tighter = {name: getattr(profile, name) * 0.1 for name in _TOLERANCE_FIELDS}
+    tighter = {f.name: getattr(profile, f.name) * 0.1 for f in fields(profile)
+               if f.name.endswith("_tol")}
     return replace(profile, name="strict", dense_max_n=12, random_states=40, **tighter)
 
 

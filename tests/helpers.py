@@ -72,6 +72,16 @@ def relabel_state(state, n, perm):
     return out
 
 
+def grid_of(state, n):
+    """Packed edge state -> N x N grid with grid[m, l] = amplitude(m -> l)."""
+    grid = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        for l in range(n):
+            if m != l:
+                grid[m, l] = state[edge_index(n, m, l)]
+    return grid
+
+
 def random_state(rng, dim):
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return state / np.linalg.norm(state)

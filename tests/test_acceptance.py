@@ -118,7 +118,7 @@ def test_criterion_4_localization_and_optimal_steps():
     for n in ASYMPTOTIC_ERROR_N:
         x = reduced.localization_rate(n, 2)
         horizon = 2 * reduced.optimal_steps(n, 2)
-        series = reduced._component_series(
+        series = reduced.component_series(
             reduced.reduced_operator(n, 2, np.pi / 2),
             reduced.reduced_initial_state(n, 2),
             horizon,
@@ -175,7 +175,7 @@ def test_criterion_7_phase_dependence():
     horizon = 5 * reduced.optimal_steps(n, k)
     peaks = {}
     for phase in (np.pi / 2, np.pi):
-        series = reduced._component_series(
+        series = reduced.component_series(
             reduced.reduced_operator(n, k, phase),
             reduced.reduced_initial_state(n, k),
             horizon,

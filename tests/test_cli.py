@@ -156,6 +156,40 @@ class TestRunCommand:
         assert run_cli(*argv) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--n", "2000000", "--engine", "full"),
+            ("run", "--n", "2000000", "--engine", "oracle"),
+            ("run", "--n-range", "100:2000000:1999900", "--engine", "full"),
+            ("stats", "--k", "3", "--runs", "2", "--mode", "mc", "--engine", "full",
+             "--n", "2000000"),
+        ],
+    )
+    def test_full_engine_memory_guard_exits_2_before_allocating(
+        self, argv, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full state was allocated")
+
+        monkeypatch.setattr(core, "initial_state", refuse)
+        monkeypatch.setattr(core, "to_grid", refuse)
+        assert run_cli(*argv) == 2
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_full_engine_steps_through_apply_step_once_per_step(self, monkeypatch, capsys):
+        calls = []
+        step = core.apply_step
+
+        def counted(state, config):
+            calls.append(state.shape)
+            return step(state, config)
+
+        monkeypatch.setattr(core, "apply_step", counted)
+        assert run_cli("run", "--n", "20", "--k", "2", "--steps", "7", "--engine", "full") == 0
+        assert calls == [(20, 20)] * 7
+        capsys.readouterr()
+
     def test_write_failure_exits_3(self, capsys):
         rc = run_cli("run", "--n", "20", "--k", "2", "--steps", "3",
                      "--out", "/no/such/dir/out.csv")

@@ -227,6 +227,56 @@ class TestEvolve:
         with pytest.raises(ValueError):
             core.evolve(core.initial_state(5), config(5), -1)
 
+    @pytest.mark.parametrize("steps", [True, float("nan"), float("inf")])
+    def test_rejects_bool_nan_and_infinite_steps(self, steps):
+        with pytest.raises(ValueError, match=f"got {steps!r}"):
+            core.evolve(core.initial_state(5), config(5), steps)
+
+    def test_grid_in_grid_out(self):
+        rng = np.random.default_rng(5)
+        cfg = config(9, 3, np.pi / 2)
+        state = random_state(rng, 72)
+        for steps in (0, 1, 4):
+            grid = core.evolve(core.to_grid(state, 9), cfg, steps)
+            assert grid.shape == (9, 9)
+            np.testing.assert_allclose(
+                core.to_packed(grid), core.evolve(state, cfg, steps), atol=1e-15
+            )
+
+
+class TestGridLayout:
+    def test_round_trip_is_exact(self):
+        state = random_state(np.random.default_rng(8), 42)
+        grid = core.to_grid(state, 7)
+        assert grid[2, 5] == state[core.edge_index(7, 2, 5)]
+        assert not grid.diagonal().any()
+        np.testing.assert_array_equal(core.to_packed(grid), state)
+        np.testing.assert_array_equal(core.to_packed(grid.T.copy().T), state)
+
+    def test_step_returns_a_transposed_view(self):
+        cfg = config(6, 2, np.pi / 2)
+        grid = core.to_grid(core.initial_state(6), 6)
+        once = core.apply_step(grid, cfg)
+        assert once.flags.f_contiguous and not once.flags.c_contiguous
+        assert core.apply_step(once, cfg).flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5, 5, 1), (31,)])
+    def test_rejects_wrong_shapes(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            core.apply_step(np.zeros(shape, complex), config(6))
+
+    def test_rejects_nonzero_diagonal(self):
+        grid = core.to_grid(core.initial_state(5), 5)
+        grid[3, 3] = 0.1
+        with pytest.raises(ValueError, match="diagonal"):
+            core.apply_step(grid, config(5))
+
+    def test_rejects_nonfinite_grid(self):
+        grid = core.to_grid(core.initial_state(5), 5)
+        grid[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            core.marked_probability(grid, config(5, 2))
+
 
 class TestMarkedProbability:
     @pytest.mark.parametrize("n, k", [(5, 2), (10, 3), (20, 4)])

@@ -219,6 +219,12 @@ class TestEvolveReduced:
         with pytest.raises(ValueError):
             evolve_reduced(reduced_initial_state(6, 2), op, -3)
 
+    @pytest.mark.parametrize("steps", [True, float("nan"), float("inf")])
+    def test_rejects_bool_nan_and_infinite_steps(self, steps):
+        op = reduced_operator(6, 2, np.pi / 2)
+        with pytest.raises(ValueError, match=f"got {steps!r}"):
+            evolve_reduced(reduced_initial_state(6, 2), op, steps)
+
 
 class TestAsymptotics:
     def test_zero_steps(self):
@@ -240,7 +246,7 @@ class TestAsymptotics:
             op = reduced_operator(n, 2, np.pi / 2)
             x = localization_rate(n, 2)
             horizon = 2 * optimal_steps(n, 2)
-            series = reduced._component_series(op, reduced_initial_state(n, 2), horizon)
+            series = reduced.component_series(op, reduced_initial_state(n, 2), horizon)
             exact = np.abs(series[:, 3]) ** 2
             approx = np.sin(2 * x * np.arange(horizon + 1)) ** 2
             assert np.abs(exact - approx).max() == pytest.approx(frozen, abs=1e-9)

@@ -97,6 +97,23 @@ class TestRunSearch:
         sigma = np.sqrt(P_SUCCESS_N100_K2 * (1 - P_SUCCESS_N100_K2) / trials)
         assert abs(hits / trials - P_SUCCESS_N100_K2) < 3 * sigma + 1e-9
 
+    def test_measures_the_packed_canonical_state(self, monkeypatch):
+        # the module attribute is what gets called, with the packed state
+        seen = []
+        sample = stats.sample_measurement
+
+        def capture(state, seed=None):
+            seen.append(state)
+            return sample(state, seed)
+
+        monkeypatch.setattr(stats, "sample_measurement", capture)
+        cfg = config(12, 3)
+        run_search(cfg, seed=0)
+        (state,) = seen
+        assert state.shape == (132,)
+        expected = core.evolve(core.initial_state(12), cfg, reduced.optimal_steps(12, 3))
+        assert np.abs(state - expected).max() < 1e-13
+
     def test_requires_half_pi_phase(self):
         with pytest.raises(ValueError, match="pi/2"):
             run_search(config(20, 2, phase=np.pi), seed=0)
