@@ -324,6 +324,10 @@ def cmd_stats(args) -> int:
         return _invalid(f"runs={args.runs} must be >= 1")
     if args.mode == "mc" and args.n is None:
         return _invalid("mc mode requires --n")
+    if args.mode == "mc" and args.k > args.n:
+        return _invalid(f"k={args.k} out of range for n={args.n}")
+    if args.mode == "mc" and args.seed < 0:
+        return _invalid(f"seed={args.seed} must be >= 0")
     if args.mode == "mc" and args.engine == "full" and (code := _memory_guard(args.n)):
         return code
     try:

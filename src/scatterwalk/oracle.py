@@ -11,8 +11,8 @@ the modular addition kicks back a global phase e^{i pi f / 2} and leaves
 every register exactly as it was, so one oracle call applies the
 phase-pi/2 marked-edge shift to the whole edge register at once.  A full
 walk step is then: kickback, unmarked scattering, kickback, i.e. exactly
-two oracle calls per step, tallied in a QueryLedger alongside classical
-baselines for comparison.
+two oracle calls per step, tallied in a QueryLedger and compared with
+the expected queries of a classical pair scan.
 
 Composite states are kept in the factored form that actually occurs in
 the circuit (a basis edge, two vertex labels or blanks, a 4-amplitude
@@ -75,10 +75,9 @@ class OracleFunction:
 
 @dataclass
 class QueryLedger:
-    """Running totals of oracle calls spent by quantum and classical searches."""
+    """Running total of oracle calls spent by quantum searches."""
 
     quantum_calls: int = 0
-    classical_calls: int = 0
 
 
 @dataclass
@@ -227,41 +226,17 @@ def worst_case_scan_queries(n_vertices: int, k_marked: int) -> int:
     return comb(n_vertices, 2) - comb(k_marked, 2) + 1
 
 
-def classical_query_baseline(
-    n_vertices: int,
-    k_marked: int,
-    strategy: str = "deterministic-scan",
-    trials: int = 10000,
-    seed: int | None = None,
-    ledger: QueryLedger | None = None,
-) -> float:
+def classical_query_baseline(n_vertices: int, k_marked: int) -> float:
     """Expected classical queries until the pair oracle first answers 1.
 
-    deterministic-scan: exact expectation (M+1)/(G+1) of a fixed-order
-    scan over all M = C(N,2) pairs against a uniformly random marked set
-    with G = C(K,2) marked pairs.  random-pairs: Monte Carlo over `trials`
-    searches that query uniformly random pairs without replacement; the
-    first hit in a uniformly shuffled pair order is the minimum of the
-    marked pairs' positions, which is what gets sampled.  Queries made by
-    the simulated searches are added to the ledger when one is given.
+    Exact expectation (M+1)/(G+1) of a fixed-order scan over all
+    M = C(N,2) pairs against a uniformly random marked set with G = C(K,2)
+    marked pairs.  Querying pairs in a uniformly random order has the same
+    law: in both, the marked pairs hold a uniform random G-subset of the M
+    positions.
     """
     if k_marked < 2:
         raise ValueError("no marked pair exists for k_marked < 2; search unsatisfiable")
     if k_marked > n_vertices:
         raise ValueError(f"k_marked={k_marked} exceeds n_vertices={n_vertices}")
-    total_pairs = comb(n_vertices, 2)
-    marked_pairs = comb(k_marked, 2)
-    if strategy == "deterministic-scan":
-        return (total_pairs + 1) / (marked_pairs + 1)
-    if strategy != "random-pairs":
-        raise ValueError(f"strategy must be 'deterministic-scan' or 'random-pairs', got {strategy!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    counts = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        positions = rng.choice(total_pairs, size=marked_pairs, replace=False)
-        counts[i] = positions.min() + 1
-    if ledger is not None:
-        ledger.classical_calls += int(counts.sum())
-    return float(counts.mean())
+    return (comb(n_vertices, 2) + 1) / (comb(k_marked, 2) + 1)

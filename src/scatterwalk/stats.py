@@ -7,6 +7,8 @@ edge at a time; this module provides the distribution of the number of
 distinct vertices found after r runs, both in the idealized model where
 every run returns a uniformly random marked edge (exact, by enumeration)
 and as a Monte Carlo estimate that keeps the real failure probability.
+Only the measurement is random, so the full-engine Monte Carlo evolves
+the state once per configuration and measures that state on every draw.
 """
 
 from __future__ import annotations
@@ -100,23 +102,32 @@ def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     return core.edge_endpoints(n, int(index))
 
 
-def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None) -> RunOutcome:
-    """One complete search: evolve to the optimal step count, measure once.
+def _search_state(config: WalkConfig, ledger: QueryLedger) -> tuple[np.ndarray, int]:
+    """Uniform state after the optimal number of oracle-driven steps.
 
-    Requires phase pi/2 and 2 <= K <= N-2 (the regime where the optimal
-    step count is defined).  Every step costs two oracle calls.
+    Returns (packed state, n_opt); each step charges two oracle calls.
     """
     if abs(config.phase - np.pi / 2) > 1e-12:
         raise ValueError(f"search requires phase pi/2, got {config.phase!r}")
     n, k = config.n_vertices, config.k_marked
     n_opt = reduced.optimal_steps(n, k)
     f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
-    ledger = QueryLedger() if ledger is None else ledger
-    calls_before = ledger.quantum_calls
     grid = core.to_grid(core.initial_state(n), n)
     for _ in range(n_opt):
         grid = oracle.oracle_step(grid, f, ledger, out=grid)
-    edge = sample_measurement(core.to_packed(grid), seed)
+    return core.to_packed(grid), n_opt
+
+
+def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None) -> RunOutcome:
+    """One complete search: evolve to the optimal step count, measure once.
+
+    Requires phase pi/2 and 2 <= K <= N-2 (the regime where the optimal
+    step count is defined).  Every step costs two oracle calls.
+    """
+    ledger = QueryLedger() if ledger is None else ledger
+    calls_before = ledger.quantum_calls
+    state, n_opt = _search_state(config, ledger)
+    edge = sample_measurement(state, seed)
     return RunOutcome(
         edge=edge,
         success=edge[0] in config.marked_set and edge[1] in config.marked_set,
@@ -184,23 +195,30 @@ def _simulate_coverage_reduced(
 def _simulate_coverage_full(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
 ) -> tuple[dict[int, float], float, int]:
-    """Monte Carlo coverage running every search through the oracle engine."""
+    """Monte Carlo coverage measuring the oracle engine's evolved state.
+
+    A search is random only in its measurement, so the state is evolved
+    once and each of the trials * runs draws measures it on the shared
+    generator, exactly as running every search through `run_search` would.
+    Oracle calls are counted per search.
+    """
     config = WalkConfig(
         n_vertices=n_vertices, marked_set=frozenset(range(k_marked)), phase=np.pi / 2
     )
     ledger = QueryLedger()
+    state, _ = _search_state(config, ledger)
     counts: dict[int, int] = {}
     successes = 0
     for _ in range(trials):
         seen: set[int] = set()
         for _ in range(runs):
-            outcome = run_search(config, seed=rng, ledger=ledger)
-            if outcome.success:
-                seen.update(outcome.edge)
+            edge = sample_measurement(state, rng)
+            if edge[0] in config.marked_set and edge[1] in config.marked_set:
+                seen.update(edge)
                 successes += 1
         counts[len(seen)] = counts.get(len(seen), 0) + 1
     dist = {j: c / trials for j, c in sorted(counts.items())}
-    return dist, successes / (trials * runs), ledger.quantum_calls
+    return dist, successes / (trials * runs), trials * runs * ledger.quantum_calls
 
 
 def coverage_distribution(
@@ -220,7 +238,8 @@ def coverage_distribution(
     model (every run yields a uniformly random marked edge); mode="mc"
     simulates searches on a size-N graph, keeping real failures, with
     engine="reduced" sampling the exact measurement law and engine="full"
-    running every search through the oracle-driven evolution.
+    evolving the state once through the oracle-driven walk and measuring
+    it on every one of the trials * runs draws.
     """
     if k_marked < 2:
         raise ValueError(f"coverage needs k_marked >= 2, got {k_marked}")

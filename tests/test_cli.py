@@ -280,6 +280,20 @@ class TestStatsCommand:
         assert run_cli(*argv) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["reduced", "full"])
+    def test_mc_k_above_n_exits_2_naming_k_and_n(self, engine, capsys):
+        rc = run_cli("stats", "--mode", "mc", "--engine", engine, "--k", "70", "--n", "64",
+                     "--runs", "2")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: k=70 out of range for n=64\n"
+
+    @pytest.mark.parametrize("engine", ["reduced", "full"])
+    def test_mc_negative_seed_exits_2_naming_the_seed(self, engine, capsys):
+        rc = run_cli("stats", "--mode", "mc", "--engine", engine, "--k", "3", "--n", "64",
+                     "--runs", "2", "--seed", "-1")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed=-1 must be >= 0\n"
+
 
 class TestArgparseSurface:
     def test_unknown_subcommand_exits_2(self):

@@ -8,6 +8,8 @@ state, which is what justifies the factored representation used
 everywhere else.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -245,12 +247,17 @@ class TestClassicalBaseline:
         assert classical_query_baseline(10, 2) == pytest.approx(23.0, abs=1e-12)
 
     def test_monte_carlo_agrees_with_exact(self):
-        ledger = QueryLedger()
-        mc = classical_query_baseline(
-            10, 2, strategy="random-pairs", trials=4000, seed=5, ledger=ledger
-        )
-        assert abs(mc - 23.0) < 1.0  # 3 sigma of the trial mean is ~0.6
-        assert ledger.classical_calls == round(mc * 4000)
+        # searches querying uniformly random pairs without replacement: the
+        # first hit is the smallest position the marked pairs take in a
+        # uniformly shuffled pair order
+        rng = np.random.default_rng(5)
+        total_pairs, marked_pairs, trials = comb(10, 2), comb(2, 2), 4000
+        queries = [
+            rng.choice(total_pairs, size=marked_pairs, replace=False).min() + 1
+            for _ in range(trials)
+        ]
+        mc = float(np.mean(queries))
+        assert abs(mc - classical_query_baseline(10, 2)) < 1.0  # 3 sigma of the mean is ~0.6
 
     def test_quadratic_scaling(self):
         ratio = classical_query_baseline(1000, 2) / classical_query_baseline(500, 2)
@@ -265,5 +272,3 @@ class TestClassicalBaseline:
             classical_query_baseline(10, 1)
         with pytest.raises(ValueError):
             worst_case_scan_queries(10, 0)
-        with pytest.raises(ValueError):
-            classical_query_baseline(10, 2, strategy="bogus")

@@ -106,3 +106,15 @@ def test_grid_projection_matches_packed_and_naive_basis(walk):
         p_grid = core.marked_probability(grid, config)
         assert abs(p_grid - core.marked_probability(state, config)) < 1e-14
         assert abs(p_grid - marked_mass) < 1e-14
+
+
+@BOUNDED
+@given(walks(min_marked=2), st.integers(0, 15))
+def test_full_evolution_matches_the_reduced_engine(walk, steps):
+    config, _, _ = walk
+    n, k = config.n_vertices, config.k_marked
+    comps, residual = reduced.project(core.evolve(core.initial_state(n), config, steps), config)
+    op = reduced.reduced_operator(n, k, config.phase)
+    expected = reduced.evolve_reduced(reduced.reduced_initial_state(n, k), op, steps)
+    assert np.abs(comps - expected).max() < 1e-12
+    assert residual <= 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from scatterwalk import core, reduced, stats
+from scatterwalk import core, oracle, reduced, stats
 from scatterwalk.core import WalkConfig
 from scatterwalk.oracle import QueryLedger
 from scatterwalk.stats import (
@@ -17,12 +17,33 @@ from scatterwalk.stats import (
     sample_measurement,
 )
 
+from helpers import edge_index
+
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
 P_SUCCESS_N100_K2 = 0.980108582511343
 
 
 def config(n, k, phase=np.pi / 2):
     return WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phase)
+
+
+def coverage_by_run_search(n, k, runs, trials, seed):
+    """(probabilities, success rate, oracle calls) from `trials` x `runs`
+    calls of the public run_search on one generator, one search per draw."""
+    cfg = config(n, k)
+    rng = np.random.default_rng(seed)
+    ledger = QueryLedger()
+    counts, successes = {}, 0
+    for _ in range(trials):
+        seen = set()
+        for _ in range(runs):
+            outcome = run_search(cfg, seed=rng, ledger=ledger)
+            if outcome.success:
+                seen.update(outcome.edge)
+                successes += 1
+        counts[len(seen)] = counts.get(len(seen), 0) + 1
+    probabilities = {j: c / trials for j, c in sorted(counts.items())}
+    return probabilities, successes / (trials * runs), ledger.quantum_calls
 
 
 class TestSampleMeasurement:
@@ -187,6 +208,45 @@ class TestCoverageMonteCarlo:
                                         n_vertices=12, seed=4)
         for j in set(via_runs.probabilities) | set(via_law.probabilities):
             assert abs(via_runs.probability(j) - via_law.probability(j)) < 0.15
+
+    @pytest.mark.parametrize(
+        "n, k, runs, trials, seed", [(12, 2, 1, 150, 0), (30, 3, 3, 60, 1), (64, 5, 1, 40, 2)]
+    )
+    def test_full_engine_equals_a_run_search_per_draw(self, n, k, runs, trials, seed):
+        dist = coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=seed,
+                                     engine="full")
+        probabilities, success_rate, oracle_calls = coverage_by_run_search(
+            n, k, runs, trials, seed
+        )
+        assert dist.probabilities == probabilities
+        assert dist.success_rate == success_rate
+        assert dist.oracle_calls == oracle_calls == trials * runs * 2 * reduced.optimal_steps(n, k)
+
+    def test_full_engine_evolves_once_and_measures_every_draw(self, monkeypatch):
+        n, k, runs, trials = 12, 3, 2, 40
+        steps, states = [], []
+        step, sample = oracle.oracle_step, stats.sample_measurement
+
+        def counted_step(*args, **kwargs):
+            steps.append(None)
+            return step(*args, **kwargs)
+
+        def capture(state, seed=None):
+            states.append(state)
+            return sample(state, seed)
+
+        monkeypatch.setattr(oracle, "oracle_step", counted_step)
+        monkeypatch.setattr(stats, "sample_measurement", capture)
+        coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=5, engine="full")
+        n_opt = reduced.optimal_steps(n, k)
+        assert len(steps) == n_opt
+        assert len(states) == trials * runs
+        op = reduced.reduced_operator(n, k, np.pi / 2)
+        c4 = reduced.evolve_reduced(reduced.reduced_initial_state(n, k), op, n_opt)[3]
+        marked_edges = [edge_index(n, a, b) for a in range(k) for b in range(k) if a != b]
+        for state in states:
+            assert state.shape == (n * (n - 1),)
+            assert abs(np.sum(np.abs(state[marked_edges]) ** 2) - abs(c4) ** 2) < 1e-12
 
     def test_requires_graph_size(self):
         with pytest.raises(ValueError, match="n_vertices"):
