@@ -30,11 +30,9 @@ from .oracle import (
     oracle_step,
 )
 from .reduced import (
-    AsymptoticParams,
     ReducedOperator,
     SpectralDecomposition,
     asymptotic_amplitudes,
-    asymptotic_params,
     embed,
     evolve_reduced,
     localization_rate,
@@ -69,7 +67,6 @@ __all__ = [
     "dense_step_operator",
     "ReducedOperator",
     "SpectralDecomposition",
-    "AsymptoticParams",
     "reduced_operator",
     "reduced_initial_state",
     "project",
@@ -78,7 +75,6 @@ __all__ = [
     "evolve_reduced",
     "asymptotic_amplitudes",
     "localization_rate",
-    "asymptotic_params",
     "optimal_steps",
     "OracleFunction",
     "CompositeState",

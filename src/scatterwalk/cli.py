@@ -326,8 +326,6 @@ def cmd_stats(args) -> int:
         return _invalid("mc mode requires --n")
     if args.mode == "mc" and args.k > args.n:
         return _invalid(f"k={args.k} out of range for n={args.n}")
-    if args.mode == "mc" and args.seed < 0:
-        return _invalid(f"seed={args.seed} must be >= 0")
     if args.mode == "mc" and args.engine == "full" and (code := _memory_guard(args.n)):
         return code
     try:
@@ -416,8 +414,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "seed", 0) < 0:  # run and stats take a seed, verify does not
+        return _invalid(f"seed={args.seed} must be >= 0")
     return args.func(args)
 
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

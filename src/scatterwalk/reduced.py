@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import core
 from .core import WalkConfig
@@ -31,7 +29,6 @@ from .core import WalkConfig
 __all__ = [
     "ReducedOperator",
     "SpectralDecomposition",
-    "AsymptoticParams",
     "reduced_operator",
     "reduced_initial_state",
     "edge_class_indices",
@@ -42,7 +39,6 @@ __all__ = [
     "component_series",
     "asymptotic_amplitudes",
     "localization_rate",
-    "asymptotic_params",
     "optimal_steps",
 ]
 
@@ -84,11 +80,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     overlaps: np.ndarray
-
-
-class AsymptoticParams(NamedTuple):
-    x: float
-    n_opt: int
 
 
 def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOperator:
@@ -187,17 +178,23 @@ def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
 def spectral_decompose(op: ReducedOperator) -> SpectralDecomposition:
     """Eigenvalues and orthonormal eigenvectors of a reduced operator.
 
-    Uses a complex Schur factorization, which for a unitary (hence normal)
-    matrix is an eigendecomposition with orthonormal columns even when
-    eigenvalues collide.  Inputs whose spectrum strays off the unit circle
-    by more than 1e-8 are rejected as non-unitary.
+    The eigenvectors from a general eigensolver are orthonormalized by a QR
+    factorization; the eigenspaces of a unitary (hence normal) matrix are
+    mutually orthogonal, so the columns stay eigenvectors even when
+    eigenvalues collide.  The eigenvalues are then read off as diag(V^H U V).
+    Inputs whose spectrum strays off the unit circle by more than 1e-8 are
+    rejected as non-unitary; the rest are divided by their modulus, since a
+    modulus error of eps grows to n*eps after n steps.
     """
-    tri, vecs = scipy.linalg.schur(op.matrix, output="complex")
-    eigenvalues = np.diag(tri).copy()
-    if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
+    vecs, _ = np.linalg.qr(np.linalg.eig(op.matrix)[1])
+    eigenvalues = np.einsum("ij,ij->j", vecs.conj(), op.matrix @ vecs)
+    modulus = np.abs(eigenvalues)
+    if np.max(np.abs(modulus - 1.0)) > 1e-8:
         raise ValueError("operator is not unitary: eigenvalues leave the unit circle")
     overlaps = vecs.conj().T @ reduced_initial_state(op.n_vertices, op.k_marked)
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs, overlaps=overlaps)
+    return SpectralDecomposition(
+        eigenvalues=eigenvalues / modulus, eigenvectors=vecs, overlaps=overlaps
+    )
 
 
 def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.ndarray:
@@ -227,11 +224,6 @@ def localization_rate(n_vertices: int, k_marked: int) -> float:
     """The rate x = sqrt(K(K-1))/(N-1) driving the w3 -> w4 rotation."""
     _check_range(n_vertices, k_marked)
     return float(np.sqrt(k_marked * (k_marked - 1)) / (n_vertices - 1))
-
-
-def asymptotic_params(n_vertices: int, k_marked: int) -> AsymptoticParams:
-    x = localization_rate(n_vertices, k_marked)
-    return AsymptoticParams(x=x, n_opt=round(np.pi / (4 * x)))
 
 
 def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndarray:
@@ -265,16 +257,14 @@ def optimal_steps(
     over n <= scan_horizon (default: twice the formula value) and is the
     reference the formula is checked against.
     """
-    params = asymptotic_params(n_vertices, k_marked)
+    n_opt = round(np.pi / (4 * localization_rate(n_vertices, k_marked)))
     if mode == "formula":
-        return params.n_opt
+        return n_opt
     if mode != "scan":
         raise ValueError(f"mode must be 'formula' or 'scan', got {mode!r}")
-    horizon = 2 * params.n_opt if scan_horizon is None else int(scan_horizon)
-    if horizon < 2 * params.n_opt:
-        raise ValueError(
-            f"scan_horizon {horizon} too small: need at least {2 * params.n_opt}"
-        )
+    horizon = 2 * n_opt if scan_horizon is None else int(scan_horizon)
+    if horizon < 2 * n_opt:
+        raise ValueError(f"scan_horizon {horizon} too small: need at least {2 * n_opt}")
     op = reduced_operator(n_vertices, k_marked, np.pi / 2)
     series = component_series(op, reduced_initial_state(n_vertices, k_marked), horizon)
     return int(np.argmax(np.abs(series[:, 3]) ** 2))

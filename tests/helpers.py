@@ -6,6 +6,7 @@ package, so agreement between the two is a meaningful check rather than a
 tautology.
 """
 
+import mpmath
 import numpy as np
 
 
@@ -90,3 +91,38 @@ def random_state(rng, dim):
 def operator_of(apply_fn, dim):
     """Materialize a linear map as a dense matrix by applying it to the basis."""
     return np.column_stack([apply_fn(col) for col in np.eye(dim, dtype=complex).T])
+
+
+def mp_search_components(n, k, steps, dps=50):
+    """Class components (c1..c4) after `steps` search steps (phase pi/2), in mpmath.
+
+    The 4x4 class operator is summed from the local rules of one
+    representative edge per class: a walker on (j, l) moves to (l, m) with
+    amplitude -r if m == j and t otherwise, and picks up e^{i phi} = i on
+    entering and on leaving an edge internal to the marked set.  The power
+    is taken by repeated squaring at `dps` decimal digits, and the
+    components are returned as Python complex numbers.
+    """
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(2) / (n - 1)
+        r = 1 - t
+        # classes (w1..w4) by whether the source and target are marked
+        classes = ((False, True), (True, False), (False, False), (True, True))
+        sizes = (k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1))
+        op = mpmath.matrix(4, 4)
+        for a, (j_marked, l_marked) in enumerate(classes):
+            pre = 1j if j_marked and l_marked else 1
+            for b, (source_marked, m_marked) in enumerate(classes):
+                if source_marked != l_marked:
+                    continue  # a successor of (j, l) starts at l
+                group = (k if m_marked else n - k) - (l_marked == m_marked)  # m != l
+                amp = t * group - (1 if j_marked == m_marked else 0)  # m == j gives -r, not t
+                post = 1j if l_marked and m_marked else 1
+                op[b, a] = mpmath.sqrt(mpmath.mpf(sizes[a]) / sizes[b]) * amp * pre * post
+        state = mpmath.matrix([mpmath.sqrt(mpmath.mpf(s) / (n * (n - 1))) for s in sizes])
+        while steps:
+            if steps & 1:
+                state = op * state
+            op = op * op
+            steps >>= 1
+        return [complex(c) for c in state]

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,12 +291,38 @@ class TestStatsCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: k=70 out of range for n=64\n"
 
-    @pytest.mark.parametrize("engine", ["reduced", "full"])
-    def test_mc_negative_seed_exits_2_naming_the_seed(self, engine, capsys):
-        rc = run_cli("stats", "--mode", "mc", "--engine", engine, "--k", "3", "--n", "64",
-                     "--runs", "2", "--seed", "-1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("stats", "--mode", "mc", "--engine", engine, "--k", "3",
+                          "--n", "64", "--runs", "2"), id=engine)
+            for engine in ("reduced", "full")
+        ] + [
+            pytest.param(("stats", "--mode", "exact", "--k", "3", "--runs", "2"), id="exact"),
+            pytest.param(("run", "--n", "10", "--k", "2"), id="run"),
+        ],
+    )
+    def test_mc_negative_seed_exits_2_naming_the_seed(self, argv, capsys):
+        rc = run_cli(*argv, "--seed", "-1")
         assert rc == 2
-        assert capsys.readouterr().err == "error: seed=-1 must be >= 0\n"
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed=-1 must be >= 0\n"
+        assert captured.out == ""
+
+
+class TestModuleEntryPoint:
+    def test_runs_without_scipy_as_python_m(self):
+        # a fresh interpreter: the package and the CLI must not pull in scipy,
+        # and `python -m scatterwalk.cli` must dispatch to the CLI
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        probe = "import sys, scatterwalk, scatterwalk.cli; print('scipy' in sys.modules)"
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout == "False\n"
+        verify_run = subprocess.run([sys.executable, "-m", "scatterwalk.cli", "verify"],
+                                    env=env, capture_output=True, text=True)
+        assert verify_run.returncode == 0, verify_run.stderr
+        assert "7/7 suites passed" in verify_run.stdout
 
 
 class TestArgparseSurface:
