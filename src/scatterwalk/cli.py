@@ -50,11 +50,14 @@ def parse_phase(token: str) -> float:
     if key in _PHASE_TOKENS:
         return _PHASE_TOKENS[key]
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ValueError(
             f"phase {token!r} is neither a number nor one of {sorted(_PHASE_TOKENS)}"
         ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"phase {token!r} is not finite")
+    return value
 
 
 def _fmt(value) -> str:
@@ -111,43 +114,40 @@ def _emit(text: str, out_path: str | None) -> int:
     return 0
 
 
-def _invalid(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+# peak bytes per step record with its rendered text, measured over 200,000 rows
+_ROW_BYTES = {"csv": 800, "json": 2600}
 
 
-def _memory_guard(n: int) -> int | None:
-    """Exit code 2 if the grids of one full-state evolution exceed physical memory."""
-    need = 2 * n * n * 16  # the state grid and the step's output, complex128
+def _memory_guard(need: int, what: str, purpose: str) -> None:
+    """Refuse with ValueError, before allocating, what needs more than physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        return _invalid(f"n={n} needs {need / 2**30:.1f} GiB for the full-state grids, "
-                        f"more than the {have / 2**30:.1f} GiB of physical memory")
-    return None
+        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, "
+                         f"more than the {have / 2**30:.1f} GiB of physical memory")
 
 
-def _parse_marked(args, n: int) -> frozenset[int] | None:
-    """Resolve --k / --marked-list into a vertex set; None means invalid."""
+def _grid_guard(n: int) -> None:
+    _memory_guard(2 * n * n * 16, f"n={n}", "the full-state grids")  # state and step output
+
+
+def _parse_marked(args, n: int) -> frozenset[int]:
+    """Resolve --k / --marked-list into a vertex set."""
     if args.marked_list is not None:
         try:
             marked = frozenset(int(v) for v in args.marked_list.split(","))
         except ValueError:
-            print(f"error: marked-list {args.marked_list!r} is not a comma-separated "
-                  "list of integers", file=sys.stderr)
-            return None
+            raise ValueError(f"marked-list {args.marked_list!r} is not a comma-separated "
+                             "list of integers") from None
         if args.k is not None and args.k != len(marked):
-            print(f"error: k={args.k} inconsistent with marked-list of size {len(marked)}",
-                  file=sys.stderr)
-            return None
+            raise ValueError(f"k={args.k} inconsistent with marked-list of size {len(marked)}")
     else:
         k = 2 if args.k is None else args.k
         if k < 0 or k > n:
-            print(f"error: k={k} out of range for n={n}", file=sys.stderr)
-            return None
+            raise ValueError(f"k={k} out of range for n={n}")
+        _memory_guard(k * 160, f"k={k}", "the marked set")  # set, sorted list, JSON text
         marked = frozenset(range(k))
     if any(v < 0 or v >= n for v in marked):
-        print(f"error: marked-list contains vertices outside 0..{n - 1}", file=sys.stderr)
-        return None
+        raise ValueError(f"marked-list contains vertices outside 0..{n - 1}")
     return marked
 
 
@@ -196,24 +196,25 @@ def _step_rows_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[l
     return rows, ledger.quantum_calls
 
 
-def _single_run(n: int, marked: frozenset[int], phase: float, steps_arg: str, engine: str):
-    """Rows + summary for one graph size; returns (rows, summary) or an exit code."""
-    k = len(marked)
+def _single_run(args, n: int, marked: frozenset[int], phase: float):
+    """(rows, summary) for one graph size."""
+    k, engine = len(marked), args.engine
     if not 2 <= k <= n - 2:
-        return _invalid(f"k={k} must satisfy 2 <= k <= n-2 for step records (n={n})")
-    if steps_arg == "auto":
+        raise ValueError(f"k={k} must satisfy 2 <= k <= n-2 for step records (n={n})")
+    if args.steps == "auto":
         if phase != math.pi / 2:
-            return _invalid("steps=auto requires phase pi/2")
+            raise ValueError("steps=auto requires phase pi/2")
         steps = reduced.optimal_steps(n, k)
     else:
         try:
-            steps = int(steps_arg)
+            steps = int(args.steps)
         except ValueError:
-            return _invalid(f"steps must be an integer or 'auto', got {steps_arg!r}")
+            raise ValueError(f"steps must be an integer or 'auto', got {args.steps!r}") from None
         if steps < 0:
-            return _invalid(f"steps must be >= 0, got {steps}")
+            raise ValueError(f"steps must be >= 0, got {steps}")
     if engine == "oracle" and phase != math.pi / 2:
-        return _invalid("engine=oracle implements phase pi/2 only")
+        raise ValueError("engine=oracle implements phase pi/2 only")
+    _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
     if engine == "reduced":
         rows = _step_rows_reduced(n, k, phase, steps)
         quantum_calls = 2 * steps
@@ -236,25 +237,17 @@ def _single_run(n: int, marked: frozenset[int], phase: float, steps_arg: str, en
 
 
 def cmd_run(args) -> int:
-    try:
-        phase = parse_phase(args.phase)
-    except ValueError as exc:
-        return _invalid(str(exc))
+    phase = parse_phase(args.phase)
     if (args.n is None) == (args.n_range is None):
-        return _invalid("exactly one of --n / --n-range is required")
+        raise ValueError("exactly one of --n / --n-range is required")
 
     if args.n is not None:
         if args.n < 3:
-            return _invalid(f"n={args.n} must be >= 3")
+            raise ValueError(f"n={args.n} must be >= 3")
         marked = _parse_marked(args, args.n)
-        if marked is None:
-            return 2
-        if args.engine != "reduced" and (code := _memory_guard(args.n)):
-            return code
-        result = _single_run(args.n, marked, phase, args.steps, args.engine)
-        if isinstance(result, int):
-            return result
-        rows, summary = result
+        if args.engine != "reduced":
+            _grid_guard(args.n)
+        rows, summary = _single_run(args, args.n, marked, phase)
         spec = {
             "command": "run", "n": args.n, "k": len(marked),
             "marked": sorted(marked), "phase": phase, "phase_token": args.phase,
@@ -265,29 +258,19 @@ def cmd_run(args) -> int:
         try:
             start, stop, stride = (int(p) for p in args.n_range.split(":"))
         except ValueError:
-            return _invalid(f"n-range {args.n_range!r} is not of the form a:b:step")
+            raise ValueError(f"n-range {args.n_range!r} is not of the form a:b:step") from None
         if start < 3 or stop < start or stride < 1:
-            return _invalid(f"n-range {args.n_range!r} must satisfy 3 <= a <= b, step >= 1")
+            raise ValueError(f"n-range {args.n_range!r} must satisfy 3 <= a <= b, step >= 1")
         if args.marked_list is not None:
-            return _invalid("marked-list cannot be combined with a sweep; use --k")
+            raise ValueError("marked-list cannot be combined with a sweep; use --k")
         sizes = range(start, stop + 1, stride)
-        if args.engine != "reduced" and (code := _memory_guard(sizes[-1])):
-            return code
+        if args.engine != "reduced":
+            _grid_guard(sizes[-1])
         rows = []
         for n in sizes:
-            marked = _parse_marked(args, n)
-            if marked is None:
-                return 2
-            result = _single_run(n, marked, phase, args.steps, args.engine)
-            if isinstance(result, int):
-                return result
-            step_rows, summary = result
-            rows.append({
-                "n": n, "k": summary["k"], "phase": phase, "steps": summary["steps"],
-                "n_opt": summary["n_opt"], "p_final": summary["p_final"],
-                "p_peak": summary["p_peak"], "quantum_calls": summary["quantum_calls"],
-                "classical_queries": summary["classical_queries"],
-            })
+            _, summary = _single_run(args, n, _parse_marked(args, n), phase)
+            point = dict(summary, phase=phase)
+            rows.append({column: point[column] for column in SWEEP_COLUMNS})
         summary = {"command": "run-sweep", "points": len(rows), "engine": args.engine}
         spec = {
             "command": "run", "n_range": args.n_range, "k": args.k,
@@ -304,10 +287,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run_checks(args.profile)
-    except ValueError as exc:
-        return _invalid(str(exc))
+    results = verify.run_checks(args.profile)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
@@ -319,25 +299,24 @@ def cmd_verify(args) -> int:
 
 def cmd_stats(args) -> int:
     if args.k < 2:
-        return _invalid(f"k={args.k} must be >= 2")
+        raise ValueError(f"k={args.k} must be >= 2")
     if args.runs < 1:
-        return _invalid(f"runs={args.runs} must be >= 1")
-    if args.mode == "mc" and args.n is None:
-        return _invalid("mc mode requires --n")
-    if args.mode == "mc" and args.k > args.n:
-        return _invalid(f"k={args.k} out of range for n={args.n}")
-    if args.mode == "mc" and args.engine == "full" and (code := _memory_guard(args.n)):
-        return code
-    try:
-        if args.mode == "exact":
-            dist = stats.coverage_distribution(args.k, args.runs, "exact")
-        else:
-            dist = stats.coverage_distribution(
-                args.k, args.runs, "mc",
-                n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
-            )
-    except ValueError as exc:
-        return _invalid(str(exc))
+        raise ValueError(f"runs={args.runs} must be >= 1")
+    if args.mode == "mc":
+        if args.n is None:
+            raise ValueError("mc mode requires --n")
+        if args.k > args.n:
+            raise ValueError(f"k={args.k} out of range for n={args.n}")
+        if args.engine == "full":
+            _grid_guard(args.n)
+        else:  # measured peak: 17 B per draw, 40 B + k B per trial, 112 B per marked pair
+            need = args.trials * (17 * args.runs + 40 + args.k) + 112 * math.comb(args.k, 2)
+            _memory_guard(need, f"k={args.k}, runs={args.runs}, trials={args.trials}",
+                          "the Monte Carlo draws")
+    dist = stats.coverage_distribution(
+        args.k, args.runs, args.mode,
+        n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
+    )
     rows = []
     for j in sorted(dist.probabilities):
         p = dist.probabilities[j]
@@ -414,9 +393,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", 0) < 0:  # run and stats take a seed, verify does not
-        return _invalid(f"seed={args.seed} must be >= 0")
-    return args.func(args)
+    try:
+        if getattr(args, "seed", 0) < 0:  # run and stats take a seed, verify does not
+            raise ValueError(f"seed={args.seed} must be >= 0")
+        return args.func(args)
+    except ValueError as exc:  # every invalid input, numpy.linalg.LinAlgError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -2,14 +2,18 @@
 
 Each suite exercises one structural invariant (unitarity, the fixed
 point, reduction consistency, circuit equivalence, reference values) on a
-fixed parameter grid and reports the first failing case by its
-parameters.  Two tolerance profiles exist: "default" uses the advertised
-tolerances, "strict" tightens every tolerance tenfold and extends the
-dense checks to N = 12.
+fixed parameter grid.  A suite is a generator of cases, each a
+(deviation, tolerance, detail) triple whose detail names the case's
+parameters; one runner, `_suite`, tracks the worst deviation, stops at the
+first case over its tolerance and builds the suite's `CheckResult`.  Two
+tolerance profiles exist: "default" uses the advertised tolerances,
+"strict" tightens every tolerance tenfold and extends the dense checks to
+N = 12.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
@@ -58,6 +62,8 @@ PROFILES["strict"] = _strict(PROFILES["default"])
 
 _PHASES = (0.0, np.pi / 2, np.pi)
 
+Case = tuple[float, float, str]  # (deviation, tolerance, detail naming the case)
+
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -73,7 +79,11 @@ def _configs(n_values, k_values):
                 yield WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phi)
 
 
-def check_unitarity(profile: ToleranceProfile) -> CheckResult:
+def _where(config: WalkConfig) -> str:
+    return f"N={config.n_vertices}, K={config.k_marked}, phi={config.phase:.6g}"
+
+
+def check_unitarity(profile: ToleranceProfile) -> Iterator[Case]:
     """Norm preservation of the matrix-free step, plus dense-operator checks.
 
     The dense operator is assembled from the (t, r) pair entry by entry,
@@ -81,104 +91,58 @@ def check_unitarity(profile: ToleranceProfile) -> CheckResult:
     kernel only ever touches t.
     """
     rng = np.random.default_rng(_SEED)
-    worst = 0.0
     for config in _configs((3, 5, 10, 30), (0, 2, 3)):
         dim = core.n_edge_states(config.n_vertices)
         for _ in range(profile.random_states):
-            out = core.apply_step(_random_state(rng, dim), config)
-            err = abs(np.linalg.norm(out) - 1.0)
-            worst = max(worst, err)
-            if err > profile.norm_tol:
-                return CheckResult(
-                    "unitarity",
-                    False,
-                    f"norm error {err:.3e} at N={config.n_vertices}, "
-                    f"K={config.k_marked}, phi={config.phase:.6g}",
-                )
+            err = abs(np.linalg.norm(core.apply_step(_random_state(rng, dim), config)) - 1.0)
+            yield err, profile.norm_tol, f"norm error {err:.3e} at {_where(config)}"
     for config in _configs((4, 6, profile.dense_max_n), (0, 2, 3)):
         dense = core.dense_step_operator(config)
         err = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
-        if err > profile.dense_unitarity_tol:
-            return CheckResult(
-                "unitarity",
-                False,
-                f"dense U^dag U deviates by {err:.3e} at N={config.n_vertices}, "
-                f"K={config.k_marked}, phi={config.phase:.6g}",
-            )
+        yield (err, profile.dense_unitarity_tol,
+               f"dense U^dag U deviates by {err:.3e} at {_where(config)}")
         applied = np.column_stack(
             [core.apply_step(col, config) for col in np.eye(dense.shape[0], dtype=complex).T]
         )
         err = np.abs(applied - dense).max()
-        worst = max(worst, err)
-        if err > profile.dense_match_tol:
-            return CheckResult(
-                "unitarity",
-                False,
-                f"matrix-free/dense mismatch {err:.3e} at N={config.n_vertices}, "
-                f"K={config.k_marked}, phi={config.phase:.6g}",
-            )
-    return CheckResult("unitarity", True, f"max deviation {worst:.3e}")
+        yield (err, profile.dense_match_tol,
+               f"matrix-free/dense mismatch {err:.3e} at {_where(config)}")
 
 
-def check_fixed_point(profile: ToleranceProfile) -> CheckResult:
+def check_fixed_point(profile: ToleranceProfile) -> Iterator[Case]:
     """The uniform state is invariant under the unmarked step, componentwise."""
-    worst = 0.0
     for n in (3, 5, 10, 50, 200):
         state = core.initial_state(n)
-        out = core.apply_step(state, WalkConfig(n_vertices=n))
-        err = np.abs(out - state).max()
-        worst = max(worst, err)
-        if err > profile.fixed_point_tol:
-            return CheckResult("fixed-point", False, f"deviation {err:.3e} at N={n}, K=0")
-    return CheckResult("fixed-point", True, f"max deviation {worst:.3e}")
+        err = np.abs(core.apply_step(state, WalkConfig(n_vertices=n)) - state).max()
+        yield err, profile.fixed_point_tol, f"deviation {err:.3e} at N={n}, K=0"
 
 
-def _basis_matrix(config: WalkConfig) -> np.ndarray:
-    cols = [reduced.embed(e, config) for e in np.eye(4, dtype=complex)]
-    return np.column_stack(cols)
-
-
-def check_projection_consistency(profile: ToleranceProfile) -> CheckResult:
+def check_projection_consistency(profile: ToleranceProfile) -> Iterator[Case]:
     """The 4x4 operator equals the class-basis projection of the dense step."""
-    worst = 0.0
     for n in range(4, profile.dense_max_n + 1):
         for k in range(2, n - 1):
             for phi in _PHASES:
                 config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phi)
-                basis = _basis_matrix(config)
+                basis = np.column_stack(
+                    [reduced.embed(e, config) for e in np.eye(4, dtype=complex)])
                 projected = basis.conj().T @ core.dense_step_operator(config) @ basis
                 err = np.abs(projected - reduced.reduced_operator(n, k, phi).matrix).max()
-                worst = max(worst, err)
-                if err > profile.projection_tol:
-                    return CheckResult(
-                        "projection-consistency",
-                        False,
-                        f"mismatch {err:.3e} at N={n}, K={k}, phi={phi:.6g}",
-                    )
-    return CheckResult("projection-consistency", True, f"max deviation {worst:.3e}")
+                yield err, profile.projection_tol, f"mismatch {err:.3e} at {_where(config)}"
 
 
-def check_subspace_closure(profile: ToleranceProfile) -> CheckResult:
+def check_subspace_closure(profile: ToleranceProfile) -> Iterator[Case]:
     """Evolution started from the uniform state never leaves the class span."""
     config = WalkConfig(n_vertices=30, marked_set=frozenset(range(3)), phase=np.pi / 2)
     state = core.initial_state(30)
-    worst = 0.0
     for step in range(200):
         state = core.apply_step(state, config)
         _, residual = reduced.project(state, config)
-        worst = max(worst, residual)
-        if residual > profile.closure_tol:
-            return CheckResult(
-                "subspace-closure",
-                False,
-                f"residual {residual:.3e} after {step + 1} steps at N=30, K=3, phi=pi/2",
-            )
-    return CheckResult("subspace-closure", True, f"max residual {worst:.3e} over 200 steps")
+        yield (residual, profile.closure_tol,
+               f"residual {residual:.3e} after {step + 1} steps at N=30, K=3, phi=pi/2")
 
 
-def check_full_reduced_equivalence(profile: ToleranceProfile) -> CheckResult:
+def check_full_reduced_equivalence(profile: ToleranceProfile) -> Iterator[Case]:
     """Marked-edge probability agrees between the full and reduced engines."""
-    worst = 0.0
     for n, k in ((12, 2), (30, 3)):
         config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=np.pi / 2)
         op = reduced.reduced_operator(n, k, np.pi / 2)
@@ -188,19 +152,12 @@ def check_full_reduced_equivalence(profile: ToleranceProfile) -> CheckResult:
             state = core.apply_step(state, config)
             comps = op.matrix @ comps
             err = abs(core.marked_probability(state, config) - abs(comps[3]) ** 2)
-            worst = max(worst, err)
-            if err > profile.equivalence_tol:
-                return CheckResult(
-                    "full-reduced-equivalence",
-                    False,
-                    f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}",
-                )
-    return CheckResult("full-reduced-equivalence", True, f"max deviation {worst:.3e}")
+            yield (err, profile.equivalence_tol,
+                   f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}")
 
 
-def check_circuit_isomorphism(profile: ToleranceProfile) -> CheckResult:
+def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
     """The oracle-driven step is the phase-pi/2 walk step, element for element."""
-    worst = 0.0
     for n in (6, profile.dense_max_n):
         config = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
         f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
@@ -209,27 +166,15 @@ def check_circuit_isomorphism(profile: ToleranceProfile) -> CheckResult:
         basis = np.eye(dim, dtype=complex)
         walk_op = np.column_stack([core.apply_step(col, config) for col in basis.T])
         circuit_op = np.column_stack([oracle.oracle_step(col, f, ledger) for col in basis.T])
-        if ledger.quantum_calls != 2 * dim:
-            return CheckResult(
-                "circuit-isomorphism",
-                False,
-                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}",
-            )
+        yield (abs(ledger.quantum_calls - 2 * dim), 0,
+               f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         err = np.abs(walk_op - circuit_op).max()
-        worst = max(worst, err)
-        if err > profile.circuit_tol:
-            return CheckResult(
-                "circuit-isomorphism",
-                False,
-                f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2",
-            )
-    return CheckResult("circuit-isomorphism", True, f"max deviation {worst:.3e}")
+        yield err, profile.circuit_tol, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
 
 
-def check_reference_values(profile: ToleranceProfile) -> CheckResult:
+def check_reference_values(profile: ToleranceProfile) -> Iterator[Case]:
     """Closed-form anchor values: coefficients, step counts, coverage numbers."""
-    tol = profile.reference_tol
-    anchors: list[tuple[str, float, float]] = [
+    anchors = [
         ("t(N=3)", core.coefficients(3).t, 1.0),
         ("r(N=3)", core.coefficients(3).r, 0.0),
         ("t(N=5)", core.coefficients(5).t, 0.5),
@@ -239,8 +184,6 @@ def check_reference_values(profile: ToleranceProfile) -> CheckResult:
         ("n_opt(N=101,K=2)", reduced.optimal_steps(101, 2), 56),
         ("n_opt(N=1000,K=2)", reduced.optimal_steps(1000, 2), 555),
         ("classical(N=10,K=2)", oracle.classical_query_baseline(10, 2), 23.0),
-    ]
-    coverage = [
         ("P(3 of 3 | 2 runs)", stats.coverage_distribution(3, 2).probability(3), Fraction(2, 3)),
         ("P(3 of 3 | 3 runs)", stats.coverage_distribution(3, 3).probability(3), Fraction(8, 9)),
         ("P(4 of 4 | 2 runs)", stats.coverage_distribution(4, 2).probability(4), Fraction(1, 6)),
@@ -249,20 +192,29 @@ def check_reference_values(profile: ToleranceProfile) -> CheckResult:
         ("P(3 of 4 | 3 runs)", stats.coverage_distribution(4, 3).probability(3), Fraction(4, 9)),
         ("E[runs to cover K=3]", stats.expected_runs_to_cover(3), Fraction(5, 2)),
     ]
-    for label, got, want in anchors + coverage:
-        if abs(float(got) - float(want)) > tol:
-            return CheckResult("reference-values", False, f"{label}: got {got}, want {want}")
-    return CheckResult("reference-values", True, f"{len(anchors) + len(coverage)} anchors match")
+    for label, got, want in anchors:
+        yield (abs(float(got) - float(want)), profile.reference_tol,
+               f"{label}: got {got}, want {want}")
+
+
+def _suite(name: str, cases: Iterable[Case], summary: str) -> CheckResult:
+    """Fail at the first case over its tolerance, else format `summary` (worst, count)."""
+    worst, count = 0.0, 0
+    for deviation, tolerance, detail in cases:
+        if not deviation <= tolerance:  # a NaN deviation fails too
+            return CheckResult(name, False, detail)
+        worst, count = max(worst, deviation), count + 1
+    return CheckResult(name, True, summary.format(worst=worst, count=count))
 
 
 CHECKS = (
-    check_unitarity,
-    check_fixed_point,
-    check_projection_consistency,
-    check_subspace_closure,
-    check_full_reduced_equivalence,
-    check_circuit_isomorphism,
-    check_reference_values,
+    ("unitarity", check_unitarity, "max deviation {worst:.3e}"),
+    ("fixed-point", check_fixed_point, "max deviation {worst:.3e}"),
+    ("projection-consistency", check_projection_consistency, "max deviation {worst:.3e}"),
+    ("subspace-closure", check_subspace_closure, "max residual {worst:.3e} over 200 steps"),
+    ("full-reduced-equivalence", check_full_reduced_equivalence, "max deviation {worst:.3e}"),
+    ("circuit-isomorphism", check_circuit_isomorphism, "max deviation {worst:.3e}"),
+    ("reference-values", check_reference_values, "{count} anchors match"),
 )
 
 
@@ -275,4 +227,4 @@ def run_checks(profile: str | ToleranceProfile = "default") -> list[CheckResult]
             raise ValueError(
                 f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
             ) from None
-    return [check(profile) for check in CHECKS]
+    return [_suite(name, suite(profile), summary) for name, suite, summary in CHECKS]

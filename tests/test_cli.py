@@ -1,5 +1,8 @@
 """Command-line harness: schemas, exit codes, determinism, fault injection."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -9,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scatterwalk.core as core
+from scatterwalk import oracle, reduced, stats, verify
 from scatterwalk.cli import main, parse_phase
 from scatterwalk.core import ScatteringCoefficients
+from scatterwalk.oracle import QueryLedger
 
 
 def run_cli(*argv):
@@ -50,8 +57,9 @@ class TestParsePhase:
         assert parse_phase(token) == value
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError, match="phase"):
-            parse_phase("two-pi")
+        for token in ("two-pi", "nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ValueError, match=f"phase '{token}'"):
+                parse_phase(token)
 
 
 class TestRunCommand:
@@ -181,6 +189,56 @@ class TestRunCommand:
         assert run_cli(*argv) == 2
         assert "physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["reduced", "full"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_phase_exits_2_naming_the_token(self, engine, token, capsys):
+        assert run_cli("run", "--n", "10", "--k", "2", f"--phase={token}", "--steps", "3",
+                       "--engine", engine) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: phase '{token}' is not finite\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, purpose",
+        [
+            (("run", "--n", "10", "--k", "2", "--steps", str(10**12)), "its step records"),
+            (("run", "--n", "10", "--k", "2", "--steps", str(10**12), "--format", "json",
+              "--engine", "full"), "its step records"),
+            (("run", "--n", str(10**12), "--steps", "auto"), "its step records"),
+            (("run", "--n-range", f"{10**12}:{2 * 10**12}:{10**12}", "--steps", "auto"),
+             "its step records"),
+            (("stats", "--k", "3", "--runs", "2", "--mode", "mc", "--n", "64",
+              "--trials", str(10**15)), "the Monte Carlo draws"),
+            (("stats", "--k", str(10**6), "--runs", "1", "--mode", "mc", "--n", str(10**7),
+              "--trials", "1"), "the Monte Carlo draws"),
+        ],
+    )
+    def test_oversized_output_exits_2_before_allocating(
+        self, argv, purpose, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the output was allocated")
+
+        monkeypatch.setattr(reduced, "component_series", refuse)
+        monkeypatch.setattr(core, "to_grid", refuse)
+        monkeypatch.setattr(stats, "coverage_distribution", refuse)
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"for {purpose}, more than" in captured.err
+        assert captured.out == ""
+
+    def test_marked_set_beyond_physical_memory_exits_2(self, monkeypatch, capsys):
+        # physical memory reported as 1 MiB, so the refusal is tested on a
+        # marked set that would fit were the guard missing
+        sysconf = os.sysconf
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: 256 if name == "SC_PHYS_PAGES" else sysconf(name)
+        )
+        assert run_cli("run", "--n", "100000", "--k", "20000", "--steps", "0") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k=20000 needs") and "for the marked set" in err
+
     def test_full_engine_steps_through_apply_step_once_per_step(self, monkeypatch, capsys):
         calls = []
         step = core.apply_step
@@ -225,6 +283,53 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[FAIL] unitarity" in out
         assert "N=" in out and "K=" in out
+
+    @pytest.mark.parametrize(
+        "suite, module, name, fault, where",
+        [
+            pytest.param(*case, id=case[0]) for case in [
+                ("fixed-point", core, "apply_step",
+                 lambda step: lambda state, config: step(state, config) + 1e-9, "at N=3, K=0"),
+                ("projection-consistency", reduced, "reduced_operator",
+                 lambda build: lambda n, k, phase: dataclasses.replace(
+                     build(n, k, phase), matrix=build(n, k, phase).matrix + 1e-9),
+                 "at N=4, K=2, phi=0"),
+                ("subspace-closure", reduced, "project",
+                 lambda project: lambda state, config: (project(state, config)[0], 1.0),
+                 "after 1 steps at N=30, K=3, phi=pi/2"),
+                ("full-reduced-equivalence", core, "marked_probability",
+                 lambda prob: lambda state, config: prob(state, config) + 1e-6,
+                 "at N=12, K=2, step=1"),
+                ("circuit-isomorphism", oracle, "oracle_step",  # skips its ledger charge
+                 lambda step: lambda state, f, ledger, out=None: step(
+                     state, f, QueryLedger(), out),
+                 "ledger counted 0 calls for 30 steps at N=6"),
+                ("reference-values", reduced, "optimal_steps",
+                 lambda steps: lambda n, k: steps(n, k) + 1, "n_opt(N=50,K=2): got 28, want 27"),
+            ]
+        ],
+    )
+    def test_fault_injection_fails_each_suite(self, suite, module, name, fault, where,
+                                              monkeypatch, capsys):
+        # one fault per suite, wrapped around the public function the suite calls
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        result = {r.name: r for r in verify.run_checks()}[suite]
+        assert not result.passed
+        assert where in result.detail
+        assert run_cli("verify") == 1
+        assert f"[FAIL] {suite}: " in capsys.readouterr().out
+
+    def test_nan_deviation_fails_the_suite(self, monkeypatch, capsys):
+        # NaN compares false with every tolerance, so a NaN from the
+        # unmarked step must fail a suite rather than pass it silently
+        step = core.apply_step
+        monkeypatch.setattr(core, "apply_step", lambda state, config: step(state, config)
+                            * (np.nan if config.k_marked == 0 else 1.0))
+        result = {r.name: r for r in verify.run_checks()}["fixed-point"]
+        assert not result.passed
+        assert result.detail == "deviation nan at N=3, K=0"
+        assert run_cli("verify") == 1
+        capsys.readouterr()
 
 
 class TestStatsCommand:
@@ -323,6 +428,80 @@ class TestModuleEntryPoint:
                                     env=env, capture_output=True, text=True)
         assert verify_run.returncode == 0, verify_run.stderr
         assert "7/7 suites passed" in verify_run.stdout
+
+
+def _ints(low, high):
+    return st.integers(low, high).map(str)
+
+
+# Valid values are kept cheap: n <= 40, k <= 8, short step counts and
+# sweeps, trials <= 50, runs <= 3.  A huge count is drawn only where a guard
+# refuses it before any work (--n, --steps); --trials, --runs and --k are
+# never huge, because the full-engine Monte Carlo and the exact enumeration
+# are bounded by time, not memory.
+_MALFORMED = ("abc", "-1", "1e3", "nan", "inf", "1:2:3:4", "1,x")
+_HUGE = {"--n": (str(10**12),), "--steps": (str(10**12),)}
+_RUN_FLAGS = {
+    "--n": _ints(2, 40),
+    "--n-range": st.builds("{}:{}:{}".format, _ints(2, 40), _ints(2, 40), _ints(0, 20)),
+    "--k": _ints(0, 8),
+    "--marked-list": st.lists(_ints(-1, 40), min_size=1, max_size=8).map(",".join),
+    "--phase": st.sampled_from(("pi/2", "pi", "pi/4", "0", "2pi", "1.25", "-0.5")),
+    "--steps": st.one_of(st.just("auto"), _ints(0, 30)),
+    "--engine": st.sampled_from(("reduced", "full", "oracle")),
+    "--seed": _ints(0, 9),
+    "--format": st.sampled_from(("csv", "json")),
+}
+_STATS_FLAGS = {
+    "--k": _ints(1, 8),
+    "--runs": _ints(1, 3),
+    "--mode": st.sampled_from(("exact", "mc")),
+    "--n": _ints(2, 40),
+    "--trials": _ints(1, 50),
+    "--seed": _ints(0, 9),
+    "--engine": st.sampled_from(("reduced", "full")),
+    "--format": st.sampled_from(("csv", "json")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A run or stats argv: the flags it needs (for run, one of --n and
+    --n-range), a random subset of the rest, and each value valid or, one
+    time in eight, malformed or huge."""
+    command = draw(st.sampled_from(("run", "stats")))
+    if command == "run":
+        flags, needed = _RUN_FLAGS, [draw(st.sampled_from(("--n", "--n-range")))]
+        optional = set(flags) - {"--n", "--n-range"}
+    else:
+        flags, needed = _STATS_FLAGS, ["--k", "--runs"]
+        optional = set(flags) - set(needed)
+    rest = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    argv = [command]
+    for flag in needed + rest:
+        if draw(st.integers(0, 7)) == 7:
+            value = draw(st.sampled_from(_MALFORMED + _HUGE.get(flag, ())))
+        else:
+            value = draw(flags[flag])
+        argv.append(f"{flag}={value}")  # '=' keeps a value like -1 from reading as a flag
+    return argv
+
+
+class TestFlagFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(_argvs())
+    @example(["run", "--n=10", "--k=2", "--phase=nan", "--steps=3"])
+    @example(["run", "--n=10", "--k=2", "--phase=inf", "--steps=3", "--engine=full"])
+    def test_random_flags_exit_0_or_2_with_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc == 0:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert rc == 2
+            assert out.getvalue() == ""
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
 
 
 class TestArgparseSurface:
