@@ -171,28 +171,30 @@ def _step_rows_reduced(n: int, k: int, phase: float, steps: int) -> list[dict]:
 
 
 def _step_rows_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[list[dict], int]:
+    """Step records of one grid stepped in place, each read by one `reduced.observe`."""
     grid = core.to_grid(core.initial_state(config.n_vertices), config.n_vertices)
+    marked = core.marked_vertices(config.marked_set)
     ledger = QueryLedger()
     f = OracleFunction(n_vertices=config.n_vertices, marked_set=config.marked_set)
     rows = []
     for i in range(steps + 1):
-        comps, residual = reduced.project(grid, config)
+        comps, residual, p_marked, norm = reduced.observe(grid, marked)
         weights = np.abs(comps) ** 2
         rows.append({
             "step": i,
-            "p_marked": core.marked_probability(grid, config),
+            "p_marked": p_marked,
             "p_w1": float(weights[0]),
             "p_w2": float(weights[1]),
             "p_w3": float(weights[2]),
             "p_w4": float(weights[3]),
             "residual": residual,
-            "norm_error": abs(float(np.linalg.norm(grid)) - 1.0),
+            "norm_error": abs(norm - 1.0),
         })
         if i < steps:
             if use_oracle:
-                grid = oracle.oracle_step(grid, f, ledger)
+                grid = oracle.oracle_step(grid, f, ledger, out=grid)
             else:
-                grid = core.apply_step(grid, config)
+                grid = core.apply_step(grid, config, out=grid)
     return rows, ledger.quantum_calls
 
 

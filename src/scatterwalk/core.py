@@ -221,12 +221,19 @@ def step_grid(
     return out.T
 
 
-def apply_step(state: np.ndarray, config: WalkConfig) -> np.ndarray:
-    """One walk step, marked phases included; returns the input's layout, input unmodified."""
+def apply_step(
+    state: np.ndarray, config: WalkConfig, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One walk step, marked phases included; returns the input's layout.
+
+    A grid result is written into `out` if given (`out=state` steps a grid
+    in place, as `oracle.oracle_step` does); otherwise, and for a packed
+    state, the input is left unmodified.
+    """
     grid = to_grid(state, config.n_vertices)
     packed = np.ndim(state) == 1
     out = step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
-                    out=grid if packed else None)
+                    out=grid if packed else out)
     return to_packed(out) if packed else out
 
 

@@ -14,11 +14,20 @@ n = pi/(4x) with x = sqrt(K(K-1))/(N-1), the phase dependence) can be
 computed from the resulting 4x4 unitary, at cost independent of N.
 Component order is always (w1, w2, w3, w4); the basis requires
 2 <= K <= N-2 so that no class is empty.
+
+`observe` reads one full-state grid into what a step record shows: the
+class amplitudes, the norm of the component outside the subspace, the
+marked-edge probability and the norm.  It takes the grid's marked rows,
+columns and block once and sweeps the rest in strips of rows along the
+grid's memory order, so no leftover grid is built; `project` is the
+validated entry point to it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +41,7 @@ __all__ = [
     "reduced_operator",
     "reduced_initial_state",
     "edge_class_indices",
+    "observe",
     "project",
     "embed",
     "spectral_decompose",
@@ -44,6 +54,9 @@ __all__ = [
 
 #: warn about the closed-form asymptotics beyond this value of sqrt(x)
 ASYMPTOTIC_QUALITY_THRESHOLD = 0.2
+
+#: rows per strip of `observe`: 32 rows at N=1000 are 512 KB, inside L2
+STRIP_ROWS = 32
 
 
 def _check_range(n_vertices: int, k_marked: int) -> None:
@@ -134,33 +147,69 @@ def edge_class_indices(config: WalkConfig) -> tuple[np.ndarray, ...]:
     return tuple(np.flatnonzero(packed == c) for c in range(4))
 
 
-def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
-    """Overlaps (c1..c4) of a full state (either layout) with the class basis, plus residual.
+def observe(grid: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """(c1..c4, residual, p_marked, norm) of an N x N grid, without validating it.
 
-    Class sums come from the grid's marked rows, columns and block.  The
-    residual, the norm of the component outside the subspace, stays at
-    rounding level for any state reachable from the uniform start.
+    `marked` is the sorted marked-vertex array, with 2 <= K <= N-2.  Class
+    sums come from the grid's marked rows, columns and K x K block, and
+    p_marked from that block.  The residual, the norm of the component
+    outside the subspace, and the norm are float64 dots summed over strips
+    of at most STRIP_ROWS rows along the grid's memory order, so no N x N
+    leftover is built.  The residual stays at rounding level for any state
+    reachable from the uniform start.
     """
-    n, k = config.n_vertices, config.k_marked
-    _check_range(n, k)
-    grid = core.to_grid(state, n)
-    marked = core.marked_vertices(config.marked_set)
+    n, k = grid.shape[0], len(marked)
     block = (marked[:, None], marked)
-    s4 = grid[block].sum()
+    inner = grid[block]
+    s4 = inner.sum()
     s1 = grid[:, marked].sum() - s4  # unmarked source -> marked target
     s2 = grid[marked, :].sum() - s4  # marked source -> unmarked target
     sums = np.array([s1, s2, grid.sum() - s1 - s2 - s4, s4])
     sizes = np.array([k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1)])
     means = sums / sizes
-    # norm of the leftover component, not a difference of squared norms,
-    # which would bottom out near sqrt(eps)
-    leftover = grid - means[2]
-    leftover[:, marked] = grid[:, marked] - means[0]
-    leftover[marked, :] = grid[marked, :] - means[1]
-    leftover[block] = grid[block] - means[3]
-    np.fill_diagonal(leftover, 0.0)
-    residual = np.linalg.norm(leftover.ravel(order="K").view(np.float64))  # one contiguous dot
-    return sums / np.sqrt(sizes), float(residual)
+    # strips run along memory rows: the rows of the grid, or its columns
+    # when it is a transposed view, which swaps the means of w1 and w2; any
+    # other strided grid is copied once, as the float64 dots need rows
+    if grid.flags.f_contiguous and not grid.flags.c_contiguous:
+        rows, row_mean, col_mean = grid.T, means[0], means[1]
+    else:
+        rows, row_mean, col_mean = np.ascontiguousarray(grid), means[1], means[0]
+    work = np.empty((min(STRIP_ROWS, n), n), dtype=np.complex128)
+    leftover_sq = norm_sq = 0.0
+    vertices = marked.tolist()
+    for start in range(0, n, STRIP_ROWS):
+        strip = rows[start:start + STRIP_ROWS]
+        left = work[:len(strip)]
+        # norm of the leftover component, not a difference of squared norms,
+        # which would bottom out near sqrt(eps)
+        np.subtract(strip, means[2], out=left)
+        left[:, marked] = strip[:, marked] - col_mean
+        lo, hi = bisect_left(vertices, start), bisect_left(vertices, start + len(strip))
+        if hi > lo:
+            local = marked[lo:hi] - start
+            left[local] = strip[local] - row_mean
+            left[local[:, None], marked] = strip[local[:, None], marked] - means[3]
+        flat = left.reshape(-1)
+        flat[start::n + 1] = 0.0  # the diagonal (m, m) is no edge
+        flat = flat.view(np.float64)
+        leftover_sq += flat @ flat
+        flat = strip.reshape(-1).view(np.float64)
+        norm_sq += flat @ flat
+    p_marked = float(np.sum(np.abs(inner) ** 2))
+    return sums / np.sqrt(sizes), math.sqrt(leftover_sq), p_marked, math.sqrt(norm_sq)
+
+
+def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
+    """Overlaps (c1..c4) of a full state (either layout) with the class basis, plus residual.
+
+    Validates the state once and reads it with `observe`.  The residual,
+    the norm of the component outside the subspace, stays at rounding
+    level for any state reachable from the uniform start.
+    """
+    _check_range(config.n_vertices, config.k_marked)
+    grid = core.to_grid(state, config.n_vertices)
+    comps, residual, _, _ = observe(grid, core.marked_vertices(config.marked_set))
+    return comps, residual
 
 
 def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:

@@ -145,7 +145,11 @@ def _enumerate_coverage(k_marked: int, runs: int, max_outcomes: int) -> dict[int
     """
     pairs = list(combinations(range(k_marked), 2))
     n_pairs = len(pairs)
-    if n_pairs ** runs > max_outcomes:
+    if runs > max_outcomes:  # an outcome holds `runs` pairs, even when C(K,2) = 1
+        raise ValueError(f"runs={runs} exceeds the enumeration bound {max_outcomes}")
+    # 2^runs passes the bound once runs reaches its bit length, so the power
+    # is never taken for a runs whose power alone would take minutes
+    if n_pairs > 1 and runs >= max_outcomes.bit_length() or n_pairs ** runs > max_outcomes:
         raise ValueError(
             f"enumeration size {n_pairs}^{runs} exceeds the bound {max_outcomes}"
         )

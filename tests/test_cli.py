@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import scatterwalk.core as core
 from scatterwalk import oracle, reduced, stats, verify
 from scatterwalk.cli import main, parse_phase
-from scatterwalk.core import ScatteringCoefficients
+from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import QueryLedger
 
 
@@ -243,14 +243,51 @@ class TestRunCommand:
         calls = []
         step = core.apply_step
 
-        def counted(state, config):
+        def counted(state, config, **kwargs):
             calls.append(state.shape)
-            return step(state, config)
+            return step(state, config, **kwargs)
 
         monkeypatch.setattr(core, "apply_step", counted)
         assert run_cli("run", "--n", "20", "--k", "2", "--steps", "7", "--engine", "full") == 0
         assert calls == [(20, 20)] * 7
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "engine, n, marked, phase, steps, checked",
+        [
+            ("full", 20, (0, 1), "pi/2", "auto", None),
+            ("oracle", 20, (0, 1), "pi/2", "auto", None),
+            ("full", 64, (3, 17, 31, 32, 60), "pi", "40", None),
+            ("full", 300, (41, 187), "pi/2", "auto", (0, 1, 2, 83, 165, 166)),
+            ("oracle", 300, (41, 187), "pi/2", "auto", (0, 1, 2, 83, 165, 166)),
+        ],
+    )
+    def test_step_records_equal_the_public_functions(self, engine, n, marked, phase, steps,
+                                                     checked, capsys):
+        assert run_cli("run", "--engine", engine, "--n", str(n), "--phase", phase,
+                       "--marked-list", ",".join(map(str, marked)), "--steps", steps) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line[0] != "#"]
+        config = WalkConfig(n, frozenset(marked), parse_phase(phase))
+        start = core.to_grid(core.initial_state(n), n)
+        # the oracle's kickback is exactly i, where the walk step uses
+        # e^{i pi/2} = 6.1e-17 + i: its records equal oracle-driven grids and
+        # agree with core.evolve to rounding
+        f, kicked = oracle.OracleFunction(n, config.marked_set), start
+        for i, row in enumerate(rows):
+            if checked is None or i in checked:
+                walked = core.evolve(start, config, i)
+                for grid in [walked] if engine == "full" else [walked, kicked]:
+                    comps, residual = reduced.project(grid, config)
+                    expected = [core.marked_probability(grid, config), *np.abs(comps) ** 2]
+                    if grid is walked and engine == "oracle":
+                        assert np.abs(np.subtract(row[1:6], expected)).max() < 1e-12
+                    else:
+                        assert row[1:6] == expected
+                    assert abs(row[6] - residual) < 1e-12
+                    assert abs(row[7] - abs(np.linalg.norm(grid) - 1.0)) < 1e-12
+            if engine == "oracle":
+                kicked = oracle.oracle_step(kicked, f, QueryLedger())
 
     def test_write_failure_exits_3(self, capsys):
         rc = run_cli("run", "--n", "20", "--k", "2", "--steps", "3",
@@ -388,6 +425,20 @@ class TestStatsCommand:
     def test_invalid_specs_exit_2(self, argv, capsys):
         assert run_cli(*argv) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "k, runs",
+        [
+            ("3", "1000000000"),  # 3**runs alone took minutes
+            ("2", "1000000000000"),  # 1**runs passed; the enumeration ran out of memory
+        ],
+    )
+    def test_exact_mode_refuses_a_huge_runs_before_enumerating(self, k, runs, capsys):
+        assert run_cli("stats", "--k", k, "--runs", runs) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: runs={runs} exceeds the enumeration bound")
 
     @pytest.mark.parametrize("engine", ["reduced", "full"])
     def test_mc_k_above_n_exits_2_naming_k_and_n(self, engine, capsys):
