@@ -315,19 +315,27 @@ def cmd_stats(args) -> int:
             need = args.trials * (17 * args.runs + 40 + args.k) + 112 * math.comb(args.k, 2)
             _memory_guard(need, f"k={args.k}, runs={args.runs}, trials={args.trials}",
                           "the Monte Carlo draws")
+    expected = stats.expected_runs_to_cover(args.k)  # refuses an oversized k at once
     dist = stats.coverage_distribution(
         args.k, args.runs, args.mode,
         n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
     )
-    rows = []
-    for j in sorted(dist.probabilities):
-        p = dist.probabilities[j]
-        rows.append({
-            "j": j,
-            "probability": float(p),
-            "fraction": str(p) if isinstance(p, Fraction) else None,
-        })
-    expected = stats.expected_runs_to_cover(args.k)
+    # exact fractions can pass Python's 4300-digit int-to-str limit (3.10.7+);
+    # the work bounds in `stats` keep them under about 35,000 digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        text = _stats_text(args, dist, expected)
+    finally:
+        set_limit(limit)
+    return _emit(text, args.out)
+
+
+def _stats_text(args, dist: stats.CoverageDistribution, expected: Fraction) -> str:
+    rows = [{"j": j, "probability": float(p),
+             "fraction": str(p) if isinstance(p, Fraction) else None}
+            for j, p in sorted(dist.probabilities.items())]
     summary = {
         "k": args.k,
         "runs": args.runs,
@@ -345,10 +353,8 @@ def cmd_stats(args) -> int:
         "n": args.n, "trials": args.trials, "seed": args.seed, "engine": args.engine,
     }
     if args.format == "csv":
-        text = _render_csv(STATS_COLUMNS, rows, summary)
-    else:
-        text = _render_json(spec, rows, summary)
-    return _emit(text, args.out)
+        return _render_csv(STATS_COLUMNS, rows, summary)
+    return _render_json(spec, rows, summary)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -44,7 +44,6 @@ __all__ = [
     "coefficients",
     "edge_index",
     "edge_endpoints",
-    "edge_endpoint_arrays",
     "n_edge_states",
     "to_grid",
     "to_packed",
@@ -128,15 +127,6 @@ def edge_endpoints(n_vertices: int, index: int) -> tuple[int, int]:
     source, rem = divmod(index, n_vertices - 1)
     target = rem if rem < source else rem + 1
     return source, target
-
-
-@lru_cache(maxsize=32)
-def edge_endpoint_arrays(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sources, targets) for every packed index, in canonical order."""
-    ends = tuple(to_packed(axis) for axis in np.indices((n_vertices, n_vertices)))
-    for axis in ends:
-        axis.setflags(write=False)
-    return ends
 
 
 @lru_cache(maxsize=32)

@@ -39,10 +39,8 @@ __all__ = [
     "uncopy_endpoints",
     "apply_oracle",
     "conjugated_oracle",
-    "marked_phase_vector",
     "oracle_step",
     "classical_query_baseline",
-    "worst_case_scan_queries",
 ]
 
 BLANK = None  # empty vertex register, distinct from every vertex label
@@ -188,17 +186,6 @@ def conjugated_oracle(edge_state_index: int, f: OracleFunction) -> complex:
     return phase
 
 
-def marked_phase_vector(f: OracleFunction) -> np.ndarray:
-    """Kickback phases for every packed edge index: i on marked edges, 1 off.
-
-    Equals conjugated_oracle(index, f) entrywise; computed in bulk because
-    one oracle call serves the whole register in superposition.
-    """
-    vec = np.ones(core.n_edge_states(f.n_vertices), dtype=np.complex128)
-    vec[core.marked_edge_indices(core.WalkConfig(f.n_vertices, f.marked_set))] = 1j
-    return vec
-
-
 def oracle_step(
     state: np.ndarray, f: OracleFunction, ledger: QueryLedger, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -217,13 +204,6 @@ def oracle_step(
     out = core.step_grid(grid, marked, kickback, out=grid if packed else out)
     ledger.quantum_calls += 2
     return core.to_packed(out) if packed else out
-
-
-def worst_case_scan_queries(n_vertices: int, k_marked: int) -> int:
-    """Queries a deterministic pair scan needs in the worst case."""
-    if k_marked < 2:
-        raise ValueError("no marked pair exists for k_marked < 2")
-    return comb(n_vertices, 2) - comb(k_marked, 2) + 1
 
 
 def classical_query_baseline(n_vertices: int, k_marked: int) -> float:

@@ -5,8 +5,10 @@ number of steps, measures the walker's edge, and succeeds when both
 endpoints are marked.  Repeating runs discovers the marked vertices one
 edge at a time; this module provides the distribution of the number of
 distinct vertices found after r runs, both in the idealized model where
-every run returns a uniformly random marked edge (exact, by enumeration)
-and as a Monte Carlo estimate that keeps the real failure probability.
+every run returns a uniformly random marked edge (exact, from a Markov
+chain on the discovered-vertex count) and as a Monte Carlo estimate that
+keeps the real failure probability.  One transition law of that count
+serves the exact distribution and the expected runs to see every vertex.
 Only the measurement is random, so the full-engine Monte Carlo evolves
 the state once per configuration and measures that state on every draw.
 """
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import isqrt
+from itertools import combinations
+from math import comb, isqrt
 
 import numpy as np
 
@@ -33,7 +35,10 @@ __all__ = [
     "expected_runs_to_cover",
 ]
 
-DEFAULT_MAX_ENUMERATION = 2_000_000
+# Bound on an exact chain's work, steps^2 x counts x bits of C(K,2): the
+# integer numerators gain up to that many bits per step.  A chain at the
+# bound takes 2-3.5 s of CPU on a 2-vCPU Xeon (Python 3.11).
+MAX_CHAIN_WORK = 10**10
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,9 @@ class CoverageDistribution:
     """Distribution of the number of distinct marked vertices after r runs.
 
     probabilities maps the vertex count j to its probability, exact
-    fractions in the idealized model and floats from simulation.  The
-    simulated model can place mass on j = 0 (every run failed); the
-    idealized one is supported on 2..min(K, 2r).
+    fractions from the count chain in the idealized model and floats from
+    simulation.  The simulated model can place mass on j = 0 (every run
+    failed); the idealized one is supported on 2..min(K, 2r).
     """
 
     runs: int
@@ -136,35 +141,6 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     )
 
 
-def _enumerate_coverage(k_marked: int, runs: int, max_outcomes: int) -> dict[int, Fraction]:
-    """Brute-force enumeration over all per-run marked-pair outcomes.
-
-    A run reveals an unordered marked pair, uniformly; orientation carries
-    no vertex information, so enumerating the C(K,2) pairs instead of the
-    K(K-1) directed edges halves the base without changing the count.
-    """
-    pairs = list(combinations(range(k_marked), 2))
-    n_pairs = len(pairs)
-    if runs > max_outcomes:  # an outcome holds `runs` pairs, even when C(K,2) = 1
-        raise ValueError(f"runs={runs} exceeds the enumeration bound {max_outcomes}")
-    # 2^runs passes the bound once runs reaches its bit length, so the power
-    # is never taken for a runs whose power alone would take minutes
-    if n_pairs > 1 and runs >= max_outcomes.bit_length() or n_pairs ** runs > max_outcomes:
-        raise ValueError(
-            f"enumeration size {n_pairs}^{runs} exceeds the bound {max_outcomes}"
-        )
-    pair_bits = [(1 << a) | (1 << b) for a, b in pairs]
-    weight = Fraction(1, n_pairs ** runs)
-    dist: dict[int, Fraction] = {}
-    for seq in product(pair_bits, repeat=runs):
-        seen = 0
-        for bits in seq:
-            seen |= bits
-        j = seen.bit_count()
-        dist[j] = dist.get(j, Fraction(0)) + weight
-    return dict(sorted(dist.items()))
-
-
 def _simulate_coverage_reduced(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
 ) -> tuple[dict[int, float], float, int]:
@@ -234,12 +210,13 @@ def coverage_distribution(
     trials: int = 100_000,
     seed=None,
     engine: str = "reduced",
-    max_outcomes: int = DEFAULT_MAX_ENUMERATION,
 ) -> CoverageDistribution:
     """Distribution of distinct marked vertices discovered after `runs` runs.
 
     mode="exact" computes exact rational probabilities in the idealized
-    model (every run yields a uniformly random marked edge); mode="mc"
+    model (every run yields a uniformly random marked edge) from the chain
+    on the discovered-vertex count, refusing one whose work exceeds
+    MAX_CHAIN_WORK before any arithmetic; mode="mc"
     simulates searches on a size-N graph, keeping real failures, with
     engine="reduced" sampling the exact measurement law and engine="full"
     evolving the state once through the oracle-driven walk and measuring
@@ -250,7 +227,7 @@ def coverage_distribution(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if mode == "exact":
-        dist = _enumerate_coverage(k_marked, runs, max_outcomes)
+        dist = _coverage_chain(k_marked, runs)
         return CoverageDistribution(runs=runs, probabilities=dist, mode="idealized")
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -270,32 +247,60 @@ def coverage_distribution(
     )
 
 
-def _count_step_probs(k_marked: int, j: int) -> dict[int, Fraction]:
-    """Transition law of the discovered-vertex count after one ideal run."""
-    denom = Fraction(k_marked * (k_marked - 1))
+def _count_step_weights(k_marked: int, j: int) -> dict[int, int]:
+    """One ideal run's law of the discovered-vertex count, as weights over
+    the C(K,2) marked pairs: two seen vertices, one new, or two new."""
     new = k_marked - j
-    return {
-        j: Fraction(j * (j - 1)) / denom,
-        j + 1: Fraction(2 * j * new) / denom,
-        j + 2: Fraction(new * (new - 1)) / denom,
-    }
+    return {j: comb(j, 2), j + 1: j * new, j + 2: comb(new, 2)}
+
+
+def _check_chain_work(k_marked: int, steps: int, counts: int, what: str) -> None:
+    """Refuse, before any arithmetic, a chain whose work exceeds MAX_CHAIN_WORK."""
+    if steps * counts * steps * comb(k_marked, 2).bit_length() > MAX_CHAIN_WORK:
+        raise ValueError(f"{what} exceeds the exact chain's work bound "
+                         f"(steps^2 x counts x bits of C(k,2) <= {MAX_CHAIN_WORK:.0e})")
+
+
+def _coverage_chain(k_marked: int, runs: int) -> dict[int, Fraction]:
+    """Exact law of the discovered-vertex count after `runs` ideal runs.
+
+    The first run reveals two vertices, each later one steps the count by
+    `_count_step_weights`; numerators are integers over C(K,2)^(runs-1),
+    and counts of probability zero are left out.
+    """
+    _check_chain_work(k_marked, runs, min(k_marked, 2 * runs), f"runs={runs} at k={k_marked}")
+    weights = {2: 1}
+    for _ in range(runs - 1):
+        stepped: dict[int, int] = {}
+        for j, w in weights.items():
+            for j2, p in _count_step_weights(k_marked, j).items():
+                if p:
+                    stepped[j2] = stepped.get(j2, 0) + w * p
+        weights = stepped
+    denom = comb(k_marked, 2) ** (runs - 1)
+    return {j: Fraction(w, denom) for j, w in sorted(weights.items())}
 
 
 def expected_runs_to_cover(k_marked: int) -> Fraction:
     """Expected ideal runs until every marked vertex has been seen.
 
-    Absorbing-chain analysis on the discovered-vertex count: the count
-    never decreases, so the expectations solve by back-substitution from
-    the absorbing state.  Exact rational result.
+    Absorbing-chain analysis on the discovered-vertex count, which never
+    decreases: with C = C(K,2) and the weights w of `_count_step_weights`,
+    the expected further runs solve by back-substitution from e_K = 0,
+    e_j = (C + w_{j+1} e_{j+1} + w_{j+2} e_{j+2}) / (C - w_j), each kept as
+    an integer over the product of the (C - w_i), i = j..K-1, and reduced
+    once.  Exact result; a K whose work exceeds MAX_CHAIN_WORK is refused
+    before any arithmetic.
     """
     if k_marked < 2:
         raise ValueError(f"coverage needs k_marked >= 2, got {k_marked}")
-    if k_marked == 2:
-        return Fraction(1)
-    expect = {k_marked: Fraction(0)}
+    _check_chain_work(k_marked, k_marked, 1, f"k={k_marked}")
+    pairs = comb(k_marked, 2)
+    # e_{j+1} = num / den and e_{j+2} = num_next / (den / leave)
+    num, den, leave, num_next = 0, 1, 1, 0
     for j in range(k_marked - 1, 1, -1):
-        probs = _count_step_probs(k_marked, j)
-        stay = probs.pop(j)
-        forward = sum(p * expect[j2] for j2, p in probs.items() if p)
-        expect[j] = (1 + forward) / (1 - stay)
-    return 1 + expect[2]
+        w = _count_step_weights(k_marked, j)
+        step = pairs * den + w[j + 1] * num + w[j + 2] * num_next * leave
+        leave = pairs - w[j]
+        num_next, num, den = num, step, leave * den
+    return 1 + Fraction(num, den)

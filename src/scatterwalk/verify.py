@@ -13,6 +13,8 @@ N = 12.
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -157,7 +159,11 @@ def check_full_reduced_equivalence(profile: ToleranceProfile) -> Iterator[Case]:
 
 
 def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
-    """The oracle-driven step is the phase-pi/2 walk step, element for element."""
+    """The oracle-driven step is the phase-pi/2 walk step, element for element.
+
+    The gate-level circuit is run too: copy -> oracle -> uncopy on one edge
+    per class must disentangle and leave the walk step's per-edge phase.
+    """
     for n in (6, profile.dense_max_n):
         config = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
         f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
@@ -170,6 +176,18 @@ def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         err = np.abs(walk_op - circuit_op).max()
         yield err, profile.circuit_tol, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
+        marked_edges = core.marked_edge_indices(config)
+        for edge in ((2, 0), (0, 2), (2, 3), (0, 1)):  # classes w1..w4
+            index = core.edge_index(n, *edge)
+            walk_phase = cmath.exp(1j * config.phase) if index in marked_edges else 1.0
+            try:
+                phase = oracle.conjugated_oracle(index, f)
+            except AssertionError as exc:  # the gates did not disentangle
+                yield math.inf, profile.circuit_tol, f"{exc} on edge {edge} at N={n}"
+                continue
+            err = abs(phase - walk_phase)
+            yield (err, profile.circuit_tol,
+                   f"circuit phase off by {err:.3e} on edge {edge} at N={n}, K=2")
 
 
 def check_reference_values(profile: ToleranceProfile) -> Iterator[Case]:

@@ -6,12 +6,64 @@ package, so agreement between the two is a meaningful check rather than a
 tautology.
 """
 
+from fractions import Fraction
+from itertools import combinations
+
 import mpmath
 import numpy as np
 
 
 def edge_index(n, source, target):
     return source * (n - 1) + (target if target < source else target - 1)
+
+
+def edge_endpoint_arrays(n):
+    """(sources, targets) of every packed edge index, in index order."""
+    sources = np.empty(n * (n - 1), dtype=np.intp)
+    targets = np.empty(n * (n - 1), dtype=np.intp)
+    for m in range(n):
+        for l in range(n):
+            if m != l:
+                sources[edge_index(n, m, l)] = m
+                targets[edge_index(n, m, l)] = l
+    return sources, targets
+
+
+def marked_phase_vector(n, marked):
+    """Kickback phase of every packed edge index: i where both endpoints
+    are marked, 1 elsewhere."""
+    marked = set(marked)
+    vec = np.ones(n * (n - 1), dtype=complex)
+    for m in marked:
+        for l in marked:
+            if m != l:
+                vec[edge_index(n, m, l)] = 1j
+    return vec
+
+
+def coverage_by_enumeration(k, runs):
+    """Law of the number of distinct marked vertices seen after `runs` ideal runs.
+
+    Every one of the C(K,2)^runs equally likely sequences of marked pairs
+    is counted, run by run, grouped by the set of vertices its prefix has
+    revealed (a bit mask).  Exact fractions keyed by count in increasing
+    order, counts of probability zero left out.
+    """
+    pair_bits = [(1 << a) | (1 << b) for a, b in combinations(range(k), 2)]
+    sequences = {0: 1}  # revealed-vertex mask -> number of pair sequences
+    for _ in range(runs):
+        extended = {}
+        for mask, count in sequences.items():
+            for bits in pair_bits:
+                extended[mask | bits] = extended.get(mask | bits, 0) + count
+        sequences = extended
+    total = len(pair_bits) ** runs
+    assert sum(sequences.values()) == total
+    by_count = {}
+    for mask, count in sequences.items():
+        seen = bin(mask).count("1")
+        by_count[seen] = by_count.get(seen, 0) + count
+    return {j: Fraction(c, total) for j, c in sorted(by_count.items())}
 
 
 def naive_dense_operator(n, marked, phi):

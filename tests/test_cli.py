@@ -356,6 +356,26 @@ class TestVerifyCommand:
         assert run_cli("verify") == 1
         assert f"[FAIL] {suite}: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name, fault, detail",
+        [
+            ("apply_oracle", lambda gate: lambda state, f: dataclasses.replace(
+                gate(state, f), ancilla=np.roll(gate(state, f).ancilla, 1)),
+             "ancilla failed to return to the ready state on edge (2, 0) at N=6"),
+            ("conjugated_oracle", lambda gates: lambda index, f: 1.0,
+             "circuit phase off by 1.414e+00 on edge (0, 1) at N=6, K=2"),
+        ],
+    )
+    def test_fault_in_the_gates_fails_circuit_isomorphism(self, name, fault, detail,
+                                                          monkeypatch, capsys):
+        # oracle_step takes its phase from one f() call, so only the gate
+        # check sees a broken copy -> oracle -> uncopy circuit
+        monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+        result = {r.name: r for r in verify.run_checks()}["circuit-isomorphism"]
+        assert (result.passed, result.detail) == (False, detail)
+        assert run_cli("verify") == 1
+        assert "[FAIL] circuit-isomorphism: " in capsys.readouterr().out
+
     def test_nan_deviation_fails_the_suite(self, monkeypatch, capsys):
         # NaN compares false with every tolerance, so a NaN from the
         # unmarked step must fail a suite rather than pass it silently
@@ -419,7 +439,8 @@ class TestStatsCommand:
             ("stats", "--k", "1", "--runs", "2"),
             ("stats", "--k", "3", "--runs", "0"),
             ("stats", "--k", "3", "--runs", "2", "--mode", "mc"),   # missing --n
-            ("stats", "--k", "5", "--runs", "9"),                   # enumeration bound
+            ("stats", "--k", "3", "--runs", "100000"),              # chain work bound
+            ("stats", "--k", "100000", "--runs", "1"),              # expected-runs work bound
         ],
     )
     def test_invalid_specs_exit_2(self, argv, capsys):
@@ -438,7 +459,23 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: runs={runs} exceeds the enumeration bound")
+        assert captured.err.startswith(
+            f"error: runs={runs} at k={k} exceeds the exact chain's work bound")
+
+    def test_exact_fractions_print_past_the_int_digit_limit(self, capsys):
+        # P(2 seen after 10^4 runs at K=3) = 1/3^9999, a 4771-digit denominator
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert run_cli("stats", "--k", "3", "--runs", "10000") == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        header, row2, row3, *summary = capsys.readouterr().out.splitlines()
+        assert header == "j,probability,fraction"
+        j, p, fraction = row2.split(",")
+        assert (j, p) == ("2", "0")
+        numerator, denominator = fraction.split("/")
+        assert numerator == "1" and len(denominator) == 4771
+        assert denominator.endswith(str(pow(3, 9999, 10**9)))
+        assert row3.startswith("3,1,")
+        assert "# summary expected_runs_fraction=5/2" in summary
 
     @pytest.mark.parametrize("engine", ["reduced", "full"])
     def test_mc_k_above_n_exits_2_naming_k_and_n(self, engine, capsys):
@@ -488,8 +525,8 @@ def _ints(low, high):
 # Valid values are kept cheap: n <= 40, k <= 8, short step counts and
 # sweeps, trials <= 50, runs <= 3.  A huge count is drawn only where a guard
 # refuses it before any work (--n, --steps); --trials, --runs and --k are
-# never huge, because the full-engine Monte Carlo and the exact enumeration
-# are bounded by time, not memory.
+# never huge, because the Monte Carlo is bounded by time, not memory; exact
+# mode's refusal of a huge --runs or --k is tested on its own above.
 _MALFORMED = ("abc", "-1", "1e3", "nan", "inf", "1:2:3:4", "1,x")
 _HUGE = {"--n": (str(10**12),), "--steps": (str(10**12),)}
 _RUN_FLAGS = {

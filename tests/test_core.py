@@ -6,7 +6,13 @@ import pytest
 from scatterwalk import core
 from scatterwalk.core import WalkConfig
 
-from helpers import naive_dense_operator, operator_of, random_state, relabel_state
+from helpers import (
+    edge_endpoint_arrays,
+    naive_dense_operator,
+    operator_of,
+    random_state,
+    relabel_state,
+)
 
 # exact marked-edge probability at the optimal step count for N=100, K=2,
 # phase pi/2, frozen from the pre-build 4x4 spectral evolution
@@ -53,7 +59,7 @@ class TestIndexing:
             core.edge_endpoints(5, 20)
 
     def test_endpoint_arrays_match_scalar_decode(self):
-        sources, targets = core.edge_endpoint_arrays(6)
+        sources, targets = edge_endpoint_arrays(6)
         for idx in range(30):
             assert (sources[idx], targets[idx]) == core.edge_endpoints(6, idx)
 

@@ -19,6 +19,7 @@ from scatterwalk.reduced import (
 )
 
 from helpers import (
+    edge_endpoint_arrays,
     mp_search_components,
     naive_class_basis,
     naive_dense_operator,
@@ -131,7 +132,7 @@ class TestProjectEmbed:
         assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-14)
 
         state = embed(np.array([1.0, 0, 0, 0]), cfg)
-        sources, targets = core.edge_endpoint_arrays(7)
+        sources, targets = edge_endpoint_arrays(7)
         inward = (sources >= 3) & (targets < 3)  # unmarked source, marked target
         np.testing.assert_allclose(state[inward], 1 / np.sqrt(12), atol=1e-15)
         assert np.abs(state[~inward]).max() == 0.0

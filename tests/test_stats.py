@@ -1,6 +1,7 @@
 """Measurement sampling, end-to-end runs, and coverage statistics."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scatterwalk.stats import (
     sample_measurement,
 )
 
-from helpers import edge_index
+from helpers import coverage_by_enumeration, edge_index
 
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
 P_SUCCESS_N100_K2 = 0.980108582511343
@@ -170,12 +171,29 @@ class TestCoverageExact:
         dist = coverage_distribution(2, 1)
         assert dist.probabilities == {2: Fraction(1)}
 
-    def test_enumeration_bound_enforced(self):
-        with pytest.raises(ValueError, match="enumeration"):
+    @pytest.mark.parametrize(
+        "k, runs",
+        [(k, runs) for k in range(2, 9) for runs in range(1, 14)
+         if comb(k, 2) ** runs <= 2_000_000],  # the old enumeration's bound
+    )
+    def test_chain_equals_enumeration(self, k, runs):
+        dist = coverage_distribution(k, runs)
+        expected = coverage_by_enumeration(k, runs)
+        assert dist.probabilities == expected
+        assert list(dist.probabilities) == list(expected)
+
+    def test_work_bound_enforced(self, monkeypatch):
+        # (5, 9) has 10^9 outcomes, past the old enumeration; the chain is
+        # cheap, and its work, steps^2 x counts x bits of C(k,2), is 9*9*5*4
+        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 1620)
+        assert coverage_distribution(5, 9).probabilities == coverage_by_enumeration(5, 9)
+        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 1619)
+        with pytest.raises(ValueError, match="work bound"):
             coverage_distribution(5, 9)
-        with pytest.raises(ValueError, match="enumeration"):
-            coverage_distribution(3, 2, max_outcomes=5)  # 3^2 outcomes > 5
-        assert coverage_distribution(3, 2, max_outcomes=9).probability(3) == Fraction(2, 3)
+        monkeypatch.undo()
+        for k, runs in ((2, 10**12), (3, 10**9)):
+            with pytest.raises(ValueError, match=f"runs={runs} at k={k} exceeds .* work bound"):
+                coverage_distribution(k, runs)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -292,6 +310,31 @@ class TestExpectedRuns:
             + after_six.probability(3) * (6 + e3)
         )
         assert total == expected_runs_to_cover(4) == Fraction(19, 5)
+
+    @pytest.mark.parametrize("k", range(3, 11))
+    def test_equals_the_summed_tail_of_the_coverage_law(self, k):
+        # E[T] = sum_{r>=0} P(T > r) = sum_r (1 - P_r(all K seen)); the terms
+        # fall geometrically by (K-2)/K at the end, so stopping below 1e-15
+        # leaves a tail of about K/2 * 1e-15
+        total, runs = Fraction(0), 0
+        while True:
+            term = 1 - (coverage_distribution(k, runs).probability(k) if runs else 0)
+            if term < 1e-15:
+                break
+            total += term
+            runs += 1
+        assert abs(float(total) - float(expected_runs_to_cover(k))) < 1e-12
+
+    def test_work_bound_enforced(self, monkeypatch):
+        # K^2 x bits of C(K,2): 4 * 4 * 3 = 48 for K = 4
+        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 48)
+        assert expected_runs_to_cover(4) == Fraction(19, 5)
+        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 47)
+        with pytest.raises(ValueError, match="work bound"):
+            expected_runs_to_cover(4)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="k=100000 exceeds .* work bound"):
+            expected_runs_to_cover(100_000)
 
     def test_rejects_degenerate_k(self):
         with pytest.raises(ValueError):
