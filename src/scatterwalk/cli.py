@@ -5,6 +5,12 @@ run    evolves a walk and writes one record per step (or one summary row
 verify executes the invariant suites and reports pass/fail per suite.
 stats  prints multi-run discovery statistics, exact or simulated.
 
+`run` and `stats` build one table, a dict of equal-length columns of
+Python values (int, float, str or None), plus a summary dict.  One CSV
+writer and one JSON writer format every table: the CSV writer picks each
+column's printf format once, from its first value, and the JSON rows are
+dicts zipped from the columns.  Both stream their text in batches.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 output
 write failure.  Outputs are deterministic for a fixed spec and seed;
 floats are rendered with 17 significant digits so values round-trip.
@@ -13,12 +19,11 @@ floats are rendered with 17 significant digits so values round-trip.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -28,11 +33,9 @@ from .oracle import OracleFunction, QueryLedger
 
 __all__ = ["main", "entrypoint", "cmd_run", "cmd_verify", "cmd_stats", "parse_phase"]
 
-STEP_COLUMNS = ("step", "p_marked", "p_w1", "p_w2", "p_w3", "p_w4", "residual", "norm_error")
 SWEEP_COLUMNS = (
     "n", "k", "phase", "steps", "n_opt", "p_final", "p_peak", "quantum_calls", "classical_queries",
 )
-STATS_COLUMNS = ("j", "probability", "fraction")
 
 _PHASE_TOKENS = {
     "0": 0.0,
@@ -60,61 +63,57 @@ def parse_phase(token: str) -> float:
     return value
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+# printf format of a column, picked once from the type of its first value;
+# "%.0s" prints None as nothing
+_FORMATS = {int: "%d", float: "%.17g", str: "%s", type(None): "%.0s"}
 
 
-def _render_csv(columns, rows, summary: dict) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+def _stream(handle, pieces) -> None:
+    """Write an iterator of strings in joined batches, so an unbuffered
+    stdout sees few writes."""
+    while batch := list(islice(pieces, 256)):
+        handle.write("".join(batch))
+
+
+def _write_csv(handle, table: dict[str, list], summary: dict) -> None:
+    """A header, one line per row, then one `# summary key=value` line per key."""
+    handle.write(",".join(table) + "\n")
+    line = ",".join(_FORMATS[type(column[0])] for column in table.values()) + "\n"
+    _stream(handle, map(line.__mod__, zip(*table.values())))
     for key in sorted(summary):
-        buf.write(f"# summary {key}={_fmt(summary[key])}\n")
-    return buf.getvalue()
+        handle.write(f"# summary {key}={_FORMATS[type(summary[key])] % summary[key]}\n")
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+def _write_json(handle, spec: dict, table: dict[str, list], summary: dict) -> None:
+    """One object of spec, rows and summary, keys sorted."""
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    payload = {"spec": spec, "rows": rows, "summary": summary}
+    _stream(handle, json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+    handle.write("\n")
 
 
-def _render_json(spec: dict, rows, summary: dict) -> str:
-    payload = {
-        "spec": {k: _jsonable(v) for k, v in spec.items()},
-        "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
-        "summary": {k: _jsonable(v) for k, v in summary.items()},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(args, spec: dict, table: dict[str, list], summary: dict) -> int:
+    """Write a table as --format to --out, or to stdout; 3 if --out cannot be written."""
+    def write(handle) -> None:
+        if args.format == "csv":
+            _write_csv(handle, table, summary)
+        else:
+            _write_json(handle, spec, table, summary)
 
-
-def _emit(text: str, out_path: str | None) -> int:
-    if out_path is None:
-        sys.stdout.write(text)
+    if args.out is None:
+        write(sys.stdout)
         return 0
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 3
     return 0
 
 
-# peak bytes per step record with its rendered text, measured over 200,000 rows
+# bytes per step record the memory guard counts; the measured peak over
+# 200,000 rows is about 450 B (CSV) and 660 B (JSON) per record
 _ROW_BYTES = {"csv": 800, "json": 2600}
 
 
@@ -151,55 +150,48 @@ def _parse_marked(args, n: int) -> frozenset[int]:
     return marked
 
 
-def _step_rows_reduced(n: int, k: int, phase: float, steps: int) -> list[dict]:
+def _step_table(weights: np.ndarray, p_marked: np.ndarray, residual: np.ndarray,
+                norm: np.ndarray) -> dict[str, list]:
+    """The step records of one graph size, one column per field."""
+    w1, w2, w3, w4 = weights.T.tolist()
+    return {
+        "step": list(range(len(weights))), "p_marked": p_marked.tolist(),
+        "p_w1": w1, "p_w2": w2, "p_w3": w3, "p_w4": w4,
+        "residual": residual.tolist(), "norm_error": np.abs(norm - 1.0).tolist(),
+    }
+
+
+def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, list]:
     op = reduced.reduced_operator(n, k, phase)
     series = reduced.component_series(op, reduced.reduced_initial_state(n, k), steps)
-    rows = []
-    for i in range(steps + 1):
-        weights = np.abs(series[i]) ** 2
-        rows.append({
-            "step": i,
-            "p_marked": float(weights[3]),
-            "p_w1": float(weights[0]),
-            "p_w2": float(weights[1]),
-            "p_w3": float(weights[2]),
-            "p_w4": float(weights[3]),
-            "residual": 0.0,
-            "norm_error": abs(float(weights.sum()) ** 0.5 - 1.0),
-        })
-    return rows
+    weights = np.abs(series) ** 2
+    # the norm is Python's ** 0.5 of the left-to-right sum: numpy's 0.5-power
+    # is a sqrt, which rounds a sum of 1 - 2**-53 to another float
+    total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
+    norm = np.array([t ** 0.5 for t in total.tolist()])
+    return _step_table(weights, weights[:, 3], np.zeros(steps + 1), norm)
 
 
-def _step_rows_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[list[dict], int]:
+def _step_table_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[dict, int]:
     """Step records of one grid stepped in place, each read by one `reduced.observe`."""
     grid = core.to_grid(core.initial_state(config.n_vertices), config.n_vertices)
     marked = core.marked_vertices(config.marked_set)
     ledger = QueryLedger()
     f = OracleFunction(n_vertices=config.n_vertices, marked_set=config.marked_set)
-    rows = []
+    comps = np.empty((steps + 1, 4), dtype=np.complex128)
+    residual, p_marked, norm = np.empty((3, steps + 1))
     for i in range(steps + 1):
-        comps, residual, p_marked, norm = reduced.observe(grid, marked)
-        weights = np.abs(comps) ** 2
-        rows.append({
-            "step": i,
-            "p_marked": p_marked,
-            "p_w1": float(weights[0]),
-            "p_w2": float(weights[1]),
-            "p_w3": float(weights[2]),
-            "p_w4": float(weights[3]),
-            "residual": residual,
-            "norm_error": abs(norm - 1.0),
-        })
+        comps[i], residual[i], p_marked[i], norm[i] = reduced.observe(grid, marked)
         if i < steps:
             if use_oracle:
                 grid = oracle.oracle_step(grid, f, ledger, out=grid)
             else:
                 grid = core.apply_step(grid, config, out=grid)
-    return rows, ledger.quantum_calls
+    return _step_table(np.abs(comps) ** 2, p_marked, residual, norm), ledger.quantum_calls
 
 
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
-    """(rows, summary) for one graph size."""
+    """(step table, summary) for one graph size."""
     k, engine = len(marked), args.engine
     if not 2 <= k <= n - 2:
         raise ValueError(f"k={k} must satisfy 2 <= k <= n-2 for step records (n={n})")
@@ -218,11 +210,11 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
         raise ValueError("engine=oracle implements phase pi/2 only")
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
     if engine == "reduced":
-        rows = _step_rows_reduced(n, k, phase, steps)
+        table = _step_table_reduced(n, k, phase, steps)
         quantum_calls = 2 * steps
     else:
         config = WalkConfig(n_vertices=n, marked_set=marked, phase=phase)
-        rows, counted = _step_rows_full(config, steps, use_oracle=(engine == "oracle"))
+        table, counted = _step_table_full(config, steps, use_oracle=(engine == "oracle"))
         quantum_calls = counted if engine == "oracle" else 2 * steps
     summary = {
         "n": n,
@@ -230,12 +222,12 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
         "engine": engine,
         "steps": steps,
         "n_opt": reduced.optimal_steps(n, k),
-        "p_final": rows[-1]["p_marked"],
-        "p_peak": max(row["p_marked"] for row in rows),
+        "p_final": table["p_marked"][-1],
+        "p_peak": max(table["p_marked"]),
         "quantum_calls": quantum_calls,
         "classical_queries": oracle.classical_query_baseline(n, k),
     }
-    return rows, summary
+    return table, summary
 
 
 def cmd_run(args) -> int:
@@ -249,13 +241,12 @@ def cmd_run(args) -> int:
         marked = _parse_marked(args, args.n)
         if args.engine != "reduced":
             _grid_guard(args.n)
-        rows, summary = _single_run(args, args.n, marked, phase)
+        table, summary = _single_run(args, args.n, marked, phase)
         spec = {
             "command": "run", "n": args.n, "k": len(marked),
             "marked": sorted(marked), "phase": phase, "phase_token": args.phase,
             "steps": args.steps, "engine": args.engine, "seed": args.seed,
         }
-        columns = STEP_COLUMNS
     else:
         try:
             start, stop, stride = (int(p) for p in args.n_range.split(":"))
@@ -268,24 +259,16 @@ def cmd_run(args) -> int:
         sizes = range(start, stop + 1, stride)
         if args.engine != "reduced":
             _grid_guard(sizes[-1])
-        rows = []
-        for n in sizes:
-            _, summary = _single_run(args, n, _parse_marked(args, n), phase)
-            point = dict(summary, phase=phase)
-            rows.append({column: point[column] for column in SWEEP_COLUMNS})
-        summary = {"command": "run-sweep", "points": len(rows), "engine": args.engine}
+        points = [dict(_single_run(args, n, _parse_marked(args, n), phase)[1], phase=phase)
+                  for n in sizes]
+        table = {column: [point[column] for point in points] for column in SWEEP_COLUMNS}
+        summary = {"command": "run-sweep", "points": len(points), "engine": args.engine}
         spec = {
             "command": "run", "n_range": args.n_range, "k": args.k,
             "phase": phase, "phase_token": args.phase, "steps": args.steps,
             "engine": args.engine, "seed": args.seed,
         }
-        columns = SWEEP_COLUMNS
-
-    if args.format == "csv":
-        text = _render_csv(columns, rows, summary)
-    else:
-        text = _render_json(spec, rows, summary)
-    return _emit(text, args.out)
+    return _emit(args, spec, table, summary)
 
 
 def cmd_verify(args) -> int:
@@ -320,28 +303,29 @@ def cmd_stats(args) -> int:
         args.k, args.runs, args.mode,
         n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
     )
+    probs = sorted(dist.probabilities.items())
     # exact fractions can pass Python's 4300-digit int-to-str limit (3.10.7+);
     # the work bounds in `stats` keep them under about 35,000 digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_limit(0)
     try:
-        text = _stats_text(args, dist, expected)
+        exact = dist.mode == "idealized"
+        fractions = [str(p) for _, p in probs] if exact else [None] * len(probs)
+        expected_fraction = str(expected)
     finally:
         set_limit(limit)
-    return _emit(text, args.out)
-
-
-def _stats_text(args, dist: stats.CoverageDistribution, expected: Fraction) -> str:
-    rows = [{"j": j, "probability": float(p),
-             "fraction": str(p) if isinstance(p, Fraction) else None}
-            for j, p in sorted(dist.probabilities.items())]
+    table = {
+        "j": [j for j, _ in probs],
+        "probability": [float(p) for _, p in probs],
+        "fraction": fractions,
+    }
     summary = {
         "k": args.k,
         "runs": args.runs,
         "mode": dist.mode,
         "expected_runs_to_cover": float(expected),
-        "expected_runs_fraction": str(expected),
+        "expected_runs_fraction": expected_fraction,
     }
     if dist.mode == "simulated":
         summary.update({
@@ -352,9 +336,7 @@ def _stats_text(args, dist: stats.CoverageDistribution, expected: Fraction) -> s
         "command": "stats", "k": args.k, "runs": args.runs, "mode": args.mode,
         "n": args.n, "trials": args.trials, "seed": args.seed, "engine": args.engine,
     }
-    if args.format == "csv":
-        return _render_csv(STATS_COLUMNS, rows, summary)
-    return _render_json(spec, rows, summary)
+    return _emit(args, spec, table, summary)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -40,7 +40,6 @@ __all__ = [
     "SpectralDecomposition",
     "reduced_operator",
     "reduced_initial_state",
-    "edge_class_indices",
     "observe",
     "project",
     "embed",
@@ -86,13 +85,10 @@ class SpectralDecomposition:
     eigenvalues: the four unit-modulus eigenvalues.
     eigenvectors: orthonormal eigenvectors as columns (degenerate
         eigenspaces come out orthonormalized).
-    overlaps: eigenvector overlaps with the reduced uniform start state
-        of the (N, K) the operator was built for.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    overlaps: np.ndarray
 
 
 def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOperator:
@@ -133,18 +129,6 @@ def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-
-
-def edge_class_indices(config: WalkConfig) -> tuple[np.ndarray, ...]:
-    """Packed edge indices of the four classes, in (w1, w2, w3, w4) order."""
-    _check_range(config.n_vertices, config.k_marked)
-    marked = core.marked_vertices(config.marked_set)
-    label = np.full((config.n_vertices,) * 2, 2)  # class index - 1 of every edge (m, l)
-    label[:, marked] = 0  # into the marked set
-    label[marked, :] = 1  # out of it
-    label[marked[:, None], marked] = 3  # inside it
-    packed = core.to_packed(label)
-    return tuple(np.flatnonzero(packed == c) for c in range(4))
 
 
 def observe(grid: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -217,9 +201,16 @@ def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
     reduced = np.asarray(reduced, dtype=np.complex128)
     if reduced.shape != (4,):
         raise ValueError(f"reduced state must have shape (4,), got {reduced.shape}")
-    classes = edge_class_indices(config)
-    state = np.zeros(core.n_edge_states(config.n_vertices), dtype=np.complex128)
-    for comp, idx in zip(reduced, classes):
+    _check_range(config.n_vertices, config.k_marked)
+    marked = core.marked_vertices(config.marked_set)
+    label = np.full((config.n_vertices,) * 2, 2)  # class index - 1 of every edge (m, l)
+    label[:, marked] = 0  # into the marked set
+    label[marked, :] = 1  # out of it
+    label[marked[:, None], marked] = 3  # inside it
+    label = core.to_packed(label)
+    state = np.zeros(len(label), dtype=np.complex128)
+    for c, comp in enumerate(reduced):
+        idx = np.flatnonzero(label == c)
         state[idx] = comp / np.sqrt(len(idx))
     return state
 
@@ -240,10 +231,7 @@ def spectral_decompose(op: ReducedOperator) -> SpectralDecomposition:
     modulus = np.abs(eigenvalues)
     if np.max(np.abs(modulus - 1.0)) > 1e-8:
         raise ValueError("operator is not unitary: eigenvalues leave the unit circle")
-    overlaps = vecs.conj().T @ reduced_initial_state(op.n_vertices, op.k_marked)
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues / modulus, eigenvectors=vecs, overlaps=overlaps
-    )
+    return SpectralDecomposition(eigenvalues=eigenvalues / modulus, eigenvectors=vecs)
 
 
 def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.ndarray:
@@ -293,27 +281,7 @@ def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndar
     return np.array([0.0, 0.0, np.cos(angle), 1j * np.sin(angle)], dtype=np.complex128)
 
 
-def optimal_steps(
-    n_vertices: int,
-    k_marked: int,
-    mode: str = "formula",
-    scan_horizon: int | None = None,
-) -> int:
-    """Step count that maximizes the marked-edge probability.
-
-    mode="formula" returns round(pi/(4x)) (ties to even), the large-N
-    optimum.  mode="scan" brute-forces argmax_n |c4(n)|^2 at phase pi/2
-    over n <= scan_horizon (default: twice the formula value) and is the
-    reference the formula is checked against.
-    """
-    n_opt = round(np.pi / (4 * localization_rate(n_vertices, k_marked)))
-    if mode == "formula":
-        return n_opt
-    if mode != "scan":
-        raise ValueError(f"mode must be 'formula' or 'scan', got {mode!r}")
-    horizon = 2 * n_opt if scan_horizon is None else int(scan_horizon)
-    if horizon < 2 * n_opt:
-        raise ValueError(f"scan_horizon {horizon} too small: need at least {2 * n_opt}")
-    op = reduced_operator(n_vertices, k_marked, np.pi / 2)
-    series = component_series(op, reduced_initial_state(n_vertices, k_marked), horizon)
-    return int(np.argmax(np.abs(series[:, 3]) ** 2))
+def optimal_steps(n_vertices: int, k_marked: int) -> int:
+    """Step count round(pi/(4x)) (ties to even) that maximizes the marked-edge
+    probability at phase pi/2, the large-N optimum."""
+    return round(np.pi / (4 * localization_rate(n_vertices, k_marked)))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, fsum, isqrt
 
 import numpy as np
 
@@ -68,8 +68,10 @@ class CoverageDistribution:
     oracle_calls: int | None = None
 
     def __post_init__(self) -> None:
-        total = sum(self.probabilities.values())
-        if abs(float(total) - 1.0) > 1e-12:
+        # a float sum, not an exact one: exact laws have denominators of up to
+        # about 100,000 bits, and fsum's error is at most one rounding
+        total = fsum(float(p) for p in self.probabilities.values())
+        if abs(total - 1.0) > 1e-12:
             raise ValueError(f"coverage probabilities sum to {total}, not 1")
 
     def probability(self, j: int):

@@ -41,6 +41,17 @@ def marked_phase_vector(n, marked):
     return vec
 
 
+def scan_optimal_steps(matrix, state, horizon):
+    """First step n <= horizon that maximises |c4(n)|^2, found by applying
+    the 4x4 step matrix to the reduced state one step at a time."""
+    best, best_p = 0, abs(state[3]) ** 2
+    for n in range(1, horizon + 1):
+        state = matrix @ state
+        if abs(state[3]) ** 2 > best_p:
+            best, best_p = n, abs(state[3]) ** 2
+    return best
+
+
 def coverage_by_enumeration(k, runs):
     """Law of the number of distinct marked vertices seen after `runs` ideal runs.
 

@@ -19,7 +19,7 @@ from scatterwalk.cli import main as cli_main
 from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 
-from helpers import operator_of, random_state
+from helpers import operator_of, random_state, scan_optimal_steps
 
 # pre-registered values from the pre-build reduced-model spectral oracle
 P_N1000_AT_555 = 0.9980032557010865        # marked probability, N=1000, K=2
@@ -113,7 +113,7 @@ def test_criterion_4_localization_and_optimal_steps():
     op = reduced.reduced_operator(1000, 2, np.pi / 2)
     comps = reduced.evolve_reduced(reduced.reduced_initial_state(1000, 2), op, n_opt)
     p = abs(comps[3]) ** 2
-    scan = reduced.optimal_steps(1000, 2, mode="scan")
+    scan = scan_optimal_steps(op.matrix, reduced.reduced_initial_state(1000, 2), 2 * n_opt)
     errors = []
     for n in ASYMPTOTIC_ERROR_N:
         x = reduced.localization_rate(n, 2)

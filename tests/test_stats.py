@@ -346,6 +346,14 @@ class TestCoverageDistributionType:
         with pytest.raises(ValueError, match="sum"):
             CoverageDistribution(runs=1, probabilities={2: 0.5}, mode="simulated")
 
+    def test_rejects_unnormalized_exact_law(self):
+        half = Fraction(1, 2)
+        CoverageDistribution(runs=2, probabilities={2: half, 3: half}, mode="idealized")
+        with pytest.raises(ValueError, match="sum"):
+            CoverageDistribution(
+                runs=2, probabilities={2: half, 3: half + Fraction(1, 10**11)}, mode="idealized"
+            )
+
     def test_probability_accessor_defaults_to_zero(self):
         dist = coverage_distribution(3, 2)
         assert dist.probability(7) == Fraction(0)
