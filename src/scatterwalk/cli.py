@@ -112,9 +112,10 @@ def _emit(args, spec: dict, table: dict[str, list], summary: dict) -> int:
     return 0
 
 
-# bytes per step record the memory guard counts; the measured peak over
-# 200,000 rows is about 450 B (CSV) and 660 B (JSON) per record
-_ROW_BYTES = {"csv": 800, "json": 2600}
+# bytes per step record the memory guard counts: the peak RSS of `walk run
+# --engine reduced --n 100000 --k 2 --steps 200000|400000`, minus that of the
+# 0-step run, is at most 463 B (CSV) and 673 B (JSON) per record; plus 25%
+_ROW_BYTES = {"csv": 579, "json": 842}
 
 
 def _memory_guard(need: int, what: str, purpose: str) -> None:

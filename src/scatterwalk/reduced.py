@@ -82,7 +82,8 @@ class ReducedOperator:
 class SpectralDecomposition:
     """Eigen-system of a reduced step operator.
 
-    eigenvalues: the four unit-modulus eigenvalues.
+    eigenvalues: the four eigenvalues, on the unit circle to within 1e-8;
+        their powers are taken as phases, so only their angles matter.
     eigenvectors: orthonormal eigenvectors as columns (degenerate
         eigenspaces come out orthonormalized).
     """
@@ -223,22 +224,29 @@ def spectral_decompose(op: ReducedOperator) -> SpectralDecomposition:
     mutually orthogonal, so the columns stay eigenvectors even when
     eigenvalues collide.  The eigenvalues are then read off as diag(V^H U V).
     Inputs whose spectrum strays off the unit circle by more than 1e-8 are
-    rejected as non-unitary; the rest are divided by their modulus, since a
-    modulus error of eps grows to n*eps after n steps.
+    rejected as non-unitary.
     """
     vecs, _ = np.linalg.qr(np.linalg.eig(op.matrix)[1])
     eigenvalues = np.einsum("ij,ij->j", vecs.conj(), op.matrix @ vecs)
-    modulus = np.abs(eigenvalues)
-    if np.max(np.abs(modulus - 1.0)) > 1e-8:
+    if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
         raise ValueError("operator is not unitary: eigenvalues leave the unit circle")
-    return SpectralDecomposition(eigenvalues=eigenvalues / modulus, eigenvectors=vecs)
+    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
+
+
+def _spectral_powers(spec: SpectralDecomposition, steps) -> np.ndarray:
+    """Eigenvalues to the power `steps` (an int or an array of them), taken
+    as phases exp(i n theta): a power lambda ** n would carry the
+    rounding-level modulus error of lambda as |lambda| ** n."""
+    n = np.asarray(steps, dtype=np.float64)
+    phases = np.multiply.outer(n, np.angle(spec.eigenvalues)) * 1j
+    return np.exp(phases, out=phases)
 
 
 def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.ndarray:
     """State after `steps` applications of the reduced operator.
 
-    Computed through the spectral decomposition, so the cost does not grow
-    with the step count.
+    Computed through the spectral decomposition, each eigenvalue's power
+    taken as a phase, so the cost does not grow with the step count.
     """
     steps = core.check_steps(steps)
     state = np.asarray(state, dtype=np.complex128)
@@ -246,15 +254,17 @@ def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.nda
         raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
     spec = spectral_decompose(op)
     coeff = spec.eigenvectors.conj().T @ state
-    return spec.eigenvectors @ (spec.eigenvalues ** steps * coeff)
+    return spec.eigenvectors @ (_spectral_powers(spec, steps) * coeff)
 
 
 def component_series(op: ReducedOperator, state: np.ndarray, horizon: int) -> np.ndarray:
-    """Reduced state for every n = 0..horizon, shape (horizon+1, 4)."""
+    """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
+    the same spectral phases as `evolve_reduced`."""
     spec = spectral_decompose(op)
     coeff = spec.eigenvectors.conj().T @ np.asarray(state, dtype=np.complex128)
-    powers = spec.eigenvalues[None, :] ** np.arange(horizon + 1)[:, None]
-    return (powers * coeff[None, :]) @ spec.eigenvectors.T
+    powers = _spectral_powers(spec, np.arange(horizon + 1))
+    powers *= coeff
+    return powers @ spec.eigenvectors.T
 
 
 def localization_rate(n_vertices: int, k_marked: int) -> float:

@@ -156,17 +156,19 @@ def operator_of(apply_fn, dim):
     return np.column_stack([apply_fn(col) for col in np.eye(dim, dtype=complex).T])
 
 
-def mp_search_components(n, k, steps, dps=50):
-    """Class components (c1..c4) after `steps` search steps (phase pi/2), in mpmath.
+def mp_search_components(n, k, steps, phase=None, dps=50):
+    """Class components (c1..c4) after `steps` search steps, in mpmath.
 
     The 4x4 class operator is summed from the local rules of one
     representative edge per class: a walker on (j, l) moves to (l, m) with
-    amplitude -r if m == j and t otherwise, and picks up e^{i phi} = i on
-    entering and on leaving an edge internal to the marked set.  The power
-    is taken by repeated squaring at `dps` decimal digits, and the
-    components are returned as Python complex numbers.
+    amplitude -r if m == j and t otherwise, and picks up e^{i phi} on
+    entering and on leaving an edge internal to the marked set.  `phase` is
+    taken as the exact value of the float given; None is pi/2, e^{i phi} = i
+    exactly.  The power is taken by repeated squaring at `dps` decimal
+    digits, and the components are returned as Python complex numbers.
     """
     with mpmath.workdps(dps):
+        e = mpmath.mpc(0, 1) if phase is None else mpmath.expj(mpmath.mpf(phase))
         t = mpmath.mpf(2) / (n - 1)
         r = 1 - t
         # classes (w1..w4) by whether the source and target are marked
@@ -174,13 +176,13 @@ def mp_search_components(n, k, steps, dps=50):
         sizes = (k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1))
         op = mpmath.matrix(4, 4)
         for a, (j_marked, l_marked) in enumerate(classes):
-            pre = 1j if j_marked and l_marked else 1
+            pre = e if j_marked and l_marked else 1
             for b, (source_marked, m_marked) in enumerate(classes):
                 if source_marked != l_marked:
                     continue  # a successor of (j, l) starts at l
                 group = (k if m_marked else n - k) - (l_marked == m_marked)  # m != l
                 amp = t * group - (1 if j_marked == m_marked else 0)  # m == j gives -r, not t
-                post = 1j if l_marked and m_marked else 1
+                post = e if l_marked and m_marked else 1
                 op[b, a] = mpmath.sqrt(mpmath.mpf(sizes[a]) / sizes[b]) * amp * pre * post
         state = mpmath.matrix([mpmath.sqrt(mpmath.mpf(s) / (n * (n - 1))) for s in sizes])
         while steps:

@@ -239,6 +239,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: k=20000 needs") and "for the marked set" in err
 
+    @pytest.mark.parametrize("fmt, row_bytes", [("csv", 579), ("json", 842)])
+    def test_step_records_are_refused_beyond_exactly_their_counted_bytes(
+        self, fmt, row_bytes, monkeypatch, tmp_path, capsys
+    ):
+        # physical memory reported as exactly 1000 step records' worth
+        pages = {"SC_PHYS_PAGES": 1000 * row_bytes, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = ("run", "--engine", "reduced", "--n", "10", "--k", "2", "--format", fmt,
+                "--out", str(tmp_path / f"run.{fmt}"))
+        assert run_cli(*argv, "--steps", "999") == 0
+        assert run_cli(*argv, "--steps", "1000") == 2
+        assert capsys.readouterr().err.startswith("error: steps=1000 needs")
+
     def test_full_engine_steps_through_apply_step_once_per_step(self, monkeypatch, capsys):
         calls = []
         step = core.apply_step
@@ -305,16 +318,17 @@ def csv_text(value):
 class TestWriterContract:
     def test_reduced_norm_error_is_the_printed_weights_summed_left_to_right(self, tmp_path):
         out = tmp_path / "run.csv"
-        assert run_cli("run", "--engine", "reduced", "--n", "1000", "--k", "3",
+        assert run_cli("run", "--engine", "reduced", "--n", "200", "--k", "3",
                        "--steps", "30", "--out", str(out)) == 0
         _, rows, _ = read_csv(out)
         assert len(rows) == 31
         for row in rows:
             w1, w2, w3, w4 = (float(v) for v in row[2:6])
             assert float(row[7]) == abs((w1 + w2 + w3 + w4) ** 0.5 - 1.0)
-        # these weights sum to 1 - 2**-53: Python's ** 0.5 of it is 1.0, while
-        # a correctly rounded sqrt would print 1.1102230246251565e-16
-        assert [rows[i][7] for i in (6, 7, 15)] == ["0", "0", "0"]
+        # these rows' weights, summed left to right, are 1 - 2**-53 (found by
+        # computing every row's sum): Python's ** 0.5 of it is 1.0, while a
+        # correctly rounded sqrt would print 1.1102230246251565e-16
+        assert [rows[i][7] for i in (7, 8, 10, 14, 16, 24)] == ["0"] * 6
 
     @pytest.mark.parametrize(
         "argv",
