@@ -294,11 +294,15 @@ def cmd_stats(args) -> int:
         if args.k > args.n:
             raise ValueError(f"k={args.k} out of range for n={args.n}")
         if args.engine == "full":
-            _grid_guard(args.n)
+            # the grids plus the draws: peak RSS at 4M draws, n=64, over that of one
+            # trial is 24 B per draw and 20 B + k B per trial; counted plus 25%
+            need = 2 * args.n * args.n * 16 + args.trials * (30 * args.runs + 25 + args.k)
+            purpose = "the full-state grids and the Monte Carlo draws"
         else:  # measured peak: 17 B per draw, 40 B + k B per trial, 112 B per marked pair
             need = args.trials * (17 * args.runs + 40 + args.k) + 112 * math.comb(args.k, 2)
-            _memory_guard(need, f"k={args.k}, runs={args.runs}, trials={args.trials}",
-                          "the Monte Carlo draws")
+            purpose = "the Monte Carlo draws"
+        _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
+                      purpose)
     expected = stats.expected_runs_to_cover(args.k)  # refuses an oversized k at once
     dist = stats.coverage_distribution(
         args.k, args.runs, args.mode,

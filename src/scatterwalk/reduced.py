@@ -26,6 +26,7 @@ validated entry point to it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -61,6 +62,9 @@ STRIP_ROWS = 32
 def _check_range(n_vertices: int, k_marked: int) -> None:
     if n_vertices < 4:
         raise ValueError(f"reduction needs n_vertices >= 4, got {n_vertices}")
+    if n_vertices * (n_vertices - 1) > sys.float_info.max:
+        raise ValueError(f"reduction needs N(N-1) <= {sys.float_info.max:.3g}, "
+                         f"got n_vertices={n_vertices}")
     if not 2 <= k_marked <= n_vertices - 2:
         raise ValueError(
             f"reduction needs 2 <= k_marked <= n_vertices - 2, "
@@ -105,12 +109,12 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOpe
     e = np.exp(1j * float(phase))
     m = np.zeros((4, 4), dtype=np.complex128)
     m[1, 0] = r - (k - 2) * t
-    m[3, 0] = t * e * np.sqrt((k - 1) * (n - k))
+    m[3, 0] = t * e * math.sqrt((k - 1) * (n - k))
     m[0, 1] = (k - 1) * t - r
-    m[2, 1] = t * np.sqrt(k * (n - k - 1))
-    m[0, 2] = t * np.sqrt(k * (n - k - 1))
+    m[2, 1] = t * math.sqrt(k * (n - k - 1))
+    m[0, 2] = t * math.sqrt(k * (n - k - 1))
     m[2, 2] = r - t * (k - 1)
-    m[1, 3] = t * e * np.sqrt((k - 1) * (n - k))
+    m[1, 3] = t * e * math.sqrt((k - 1) * (n - k))
     m[3, 3] = (t * (k - 2) - r) * e * e
     m.setflags(write=False)
     return ReducedOperator(matrix=m, n_vertices=n, k_marked=k, phase=float(phase))
@@ -270,7 +274,7 @@ def component_series(op: ReducedOperator, state: np.ndarray, horizon: int) -> np
 def localization_rate(n_vertices: int, k_marked: int) -> float:
     """The rate x = sqrt(K(K-1))/(N-1) driving the w3 -> w4 rotation."""
     _check_range(n_vertices, k_marked)
-    return float(np.sqrt(k_marked * (k_marked - 1)) / (n_vertices - 1))
+    return math.sqrt(k_marked * (k_marked - 1)) / (n_vertices - 1)
 
 
 def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndarray:

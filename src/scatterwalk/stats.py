@@ -10,7 +10,8 @@ chain on the discovered-vertex count) and as a Monte Carlo estimate that
 keeps the real failure probability.  One transition law of that count
 serves the exact distribution and the expected runs to see every vertex.
 Only the measurement is random, so the full-engine Monte Carlo evolves
-the state once per configuration and measures that state on every draw.
+the state once per configuration and draws every measurement of it in
+one batch.
 """
 
 from __future__ import annotations
@@ -85,12 +86,19 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _infer_n_vertices(state: np.ndarray) -> int:
+def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
+    """(normalised |psi|^2, N) of a packed state of length N(N-1); states off
+    normalization by more than 1e-8 are rejected."""
+    state = np.asarray(state, dtype=np.complex128)
     length = state.shape[0]
     n = (1 + isqrt(1 + 4 * length)) // 2
     if n * (n - 1) != length:
         raise ValueError(f"state length {length} is not N(N-1) for any integer N")
-    return n
+    weights = np.abs(state) ** 2
+    total = weights.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"state norm^2 = {total!r} is not 1 within 1e-8")
+    return weights / total, n
 
 
 def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
@@ -99,13 +107,8 @@ def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     Deterministic for a fixed seed.  States off normalization by more than
     1e-8 are rejected.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    n = _infer_n_vertices(state)
-    weights = np.abs(state) ** 2
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"state norm^2 = {total!r} is not 1 within 1e-8")
-    index = _rng(seed).choice(len(weights), p=weights / total)
+    weights, n = _born_probabilities(state)
+    index = _rng(seed).choice(len(weights), p=weights)
     return core.edge_endpoints(n, int(index))
 
 
@@ -143,6 +146,23 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     )
 
 
+def _discovered_law(k_marked: int, found: np.ndarray, pair: np.ndarray) -> dict[int, float]:
+    """Simulated law of the discovered-vertex count over trials.
+
+    `found` and `pair` are (trials, runs) arrays: whether each run measured
+    a marked edge (a, b), and that edge as a * K + b, read only where found.
+    """
+    trials, runs = found.shape
+    seen = np.zeros((trials, k_marked), dtype=bool)
+    for r in range(runs):
+        rows = np.flatnonzero(found[:, r])
+        hits = pair[:, r][rows]
+        seen[rows, hits // k_marked] = True
+        seen[rows, hits % k_marked] = True
+    counts = np.bincount(seen.sum(axis=1), minlength=k_marked + 1).tolist()
+    return {j: c / trials for j, c in enumerate(counts) if c}
+
+
 def _simulate_coverage_reduced(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
 ) -> tuple[dict[int, float], float, int]:
@@ -159,18 +179,11 @@ def _simulate_coverage_reduced(
         reduced.reduced_initial_state(n_vertices, k_marked), op, n_opt
     )
     p_success = float(np.abs(final[3]) ** 2)
-    pairs = np.array(list(combinations(range(k_marked), 2)), dtype=np.intp)
+    pairs = np.array([a * k_marked + b for a, b in combinations(range(k_marked), 2)],
+                     dtype=np.intp)
     success = rng.random((trials, runs)) < p_success
-    pair_idx = rng.integers(0, len(pairs), size=(trials, runs))
-    seen = np.zeros((trials, k_marked), dtype=bool)
-    for r in range(runs):
-        hit = success[:, r]
-        chosen = pairs[pair_idx[hit, r]]
-        rows = np.nonzero(hit)[0]
-        seen[rows, chosen[:, 0]] = True
-        seen[rows, chosen[:, 1]] = True
-    counts = np.bincount(seen.sum(axis=1), minlength=k_marked + 1)
-    dist = {j: counts[j] / trials for j in range(k_marked + 1) if counts[j]}
+    pair = pairs[rng.integers(0, len(pairs), size=(trials, runs))]
+    dist = _discovered_law(k_marked, success, pair)
     return dist, float(success.mean()), trials * runs * 2 * n_opt
 
 
@@ -179,27 +192,30 @@ def _simulate_coverage_full(
 ) -> tuple[dict[int, float], float, int]:
     """Monte Carlo coverage measuring the oracle engine's evolved state.
 
-    A search is random only in its measurement, so the state is evolved
-    once and each of the trials * runs draws measures it on the shared
-    generator, exactly as running every search through `run_search` would.
-    Oracle calls are counted per search.
+    The state is evolved once.  Its first draw is one `sample_measurement`,
+    which validates it; the other trials * runs - 1 are one batch from the
+    same Born weights and generator, so every edge is the one a `run_search`
+    per draw would measure.  Oracle calls are counted per search.
     """
     config = WalkConfig(
         n_vertices=n_vertices, marked_set=frozenset(range(k_marked)), phase=np.pi / 2
     )
     ledger = QueryLedger()
     state, _ = _search_state(config, ledger)
-    counts: dict[int, int] = {}
-    successes = 0
-    for _ in range(trials):
-        seen: set[int] = set()
-        for _ in range(runs):
-            edge = sample_measurement(state, rng)
-            if edge[0] in config.marked_set and edge[1] in config.marked_set:
-                seen.update(edge)
-                successes += 1
-        counts[len(seen)] = counts.get(len(seen), 0) + 1
-    dist = {j: c / trials for j, c in sorted(counts.items())}
+    first = sample_measurement(state, rng)
+    weights, n = _born_probabilities(state)
+    index = np.empty(trials * runs, dtype=np.intp)
+    index[0] = core.edge_index(n, *first)
+    index[1:] = rng.choice(len(weights), size=len(index) - 1, p=weights)
+    source, target = np.divmod(index, n - 1)
+    del index
+    target += target >= source
+    found = ((source < k_marked) & (target < k_marked)).reshape(trials, runs)
+    source *= k_marked  # in place into the pair code, so at most 3 draw-sized arrays live
+    source += target
+    del target
+    dist = _discovered_law(k_marked, found, source.reshape(trials, runs))
+    successes = int(np.count_nonzero(found))
     return dist, successes / (trials * runs), trials * runs * ledger.quantum_calls
 
 
@@ -221,8 +237,9 @@ def coverage_distribution(
     MAX_CHAIN_WORK before any arithmetic; mode="mc"
     simulates searches on a size-N graph, keeping real failures, with
     engine="reduced" sampling the exact measurement law and engine="full"
-    evolving the state once through the oracle-driven walk and measuring
-    it on every one of the trials * runs draws.
+    evolving the state once through the oracle-driven walk and drawing all
+    trials * runs measurements of it in one batch, edge for edge those of
+    one `run_search` per draw.
     """
     if k_marked < 2:
         raise ValueError(f"coverage needs k_marked >= 2, got {k_marked}")

@@ -211,6 +211,9 @@ class TestRunCommand:
               "--trials", str(10**15)), "the Monte Carlo draws"),
             (("stats", "--k", str(10**6), "--runs", "1", "--mode", "mc", "--n", str(10**7),
               "--trials", "1"), "the Monte Carlo draws"),
+            (("stats", "--k", "3", "--runs", "2", "--mode", "mc", "--engine", "full",
+              "--n", "64", "--trials", str(10**15)),
+             "the full-state grids and the Monte Carlo draws"),
         ],
     )
     def test_oversized_output_exits_2_before_allocating(
@@ -222,6 +225,7 @@ class TestRunCommand:
         monkeypatch.setattr(reduced, "component_series", refuse)
         monkeypatch.setattr(core, "to_grid", refuse)
         monkeypatch.setattr(stats, "coverage_distribution", refuse)
+        monkeypatch.setattr(stats, "_search_state", refuse)
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -587,11 +591,12 @@ def _ints(low, high):
 
 # Valid values are kept cheap: n <= 40, k <= 8, short step counts and
 # sweeps, trials <= 50, runs <= 3.  A huge count is drawn only where a guard
-# refuses it before any work (--n, --steps); --trials, --runs and --k are
+# refuses it before any work (--n, --steps) or the reduced engine takes it
+# at no extra cost (--n past int64 or float64); --trials, --runs and --k are
 # never huge, because the Monte Carlo is bounded by time, not memory; exact
 # mode's refusal of a huge --runs or --k is tested on its own above.
 _MALFORMED = ("abc", "-1", "1e3", "nan", "inf", "1:2:3:4", "1,x")
-_HUGE = {"--n": (str(10**12),), "--steps": (str(10**12),)}
+_HUGE = {"--n": (str(10**12), str(10**21), str(10**400)), "--steps": (str(10**12),)}
 _RUN_FLAGS = {
     "--n": _ints(2, 40),
     "--n-range": st.builds("{}:{}:{}".format, _ints(2, 40), _ints(2, 40), _ints(0, 20)),
@@ -643,6 +648,10 @@ class TestFlagFuzz:
     @given(_argvs())
     @example(["run", "--n=10", "--k=2", "--phase=nan", "--steps=3"])
     @example(["run", "--n=10", "--k=2", "--phase=inf", "--steps=3", "--engine=full"])
+    # graph sizes past int64 (class-size products) and past float64
+    @example(["run", "--engine=reduced", "--n=9000000000000000000", "--k=3", "--steps=3"])
+    @example(["stats", "--mode=mc", f"--n={10**21}", "--k=3", "--runs=2", "--trials=5"])
+    @example(["stats", "--mode=mc", f"--n={10**400}", "--k=3", "--runs=2", "--trials=5"])
     def test_random_flags_exit_0_or_2_with_one_error_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -74,6 +74,17 @@ class TestReducedOperator:
         with pytest.raises(ValueError):
             reduced_operator(n, k, 0.0)
 
+    @pytest.mark.parametrize("n", [9 * 10**18, 10**21, 10**150])
+    def test_unitary_past_int64(self, n):
+        # class-size products such as K(N-K-1) pass int64 here
+        m = reduced_operator(n, 3, np.pi / 2).matrix
+        assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [10**155, 10**400])
+    def test_rejects_sizes_past_float64(self, n):
+        with pytest.raises(ValueError, match="N\\(N-1\\) <= 1.8e\\+308"):
+            reduced_operator(n, 3, np.pi / 2)
+
     def test_matches_projected_dense_operator(self):
         # decisive cross-check against the independently assembled full step
         for n, k in ((4, 2), (6, 2), (6, 3), (8, 4), (9, 5)):

@@ -228,7 +228,9 @@ class TestCoverageMonteCarlo:
             assert abs(via_runs.probability(j) - via_law.probability(j)) < 0.15
 
     @pytest.mark.parametrize(
-        "n, k, runs, trials, seed", [(12, 2, 1, 150, 0), (30, 3, 3, 60, 1), (64, 5, 1, 40, 2)]
+        "n, k, runs, trials, seed",
+        [(12, 2, 1, 150, 0), (30, 3, 3, 60, 1), (64, 5, 1, 40, 2), (300, 5, 2, 10, 3),
+         (20, 3, 1, 1, 4)],  # the last draws one measurement and an empty batch
     )
     def test_full_engine_equals_a_run_search_per_draw(self, n, k, runs, trials, seed):
         dist = coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=seed,
@@ -240,7 +242,7 @@ class TestCoverageMonteCarlo:
         assert dist.success_rate == success_rate
         assert dist.oracle_calls == oracle_calls == trials * runs * 2 * reduced.optimal_steps(n, k)
 
-    def test_full_engine_evolves_once_and_measures_every_draw(self, monkeypatch):
+    def test_full_engine_evolves_once_and_validates_the_state_once(self, monkeypatch):
         n, k, runs, trials = 12, 3, 2, 40
         steps, states = [], []
         step, sample = oracle.oracle_step, stats.sample_measurement
@@ -258,7 +260,7 @@ class TestCoverageMonteCarlo:
         coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=5, engine="full")
         n_opt = reduced.optimal_steps(n, k)
         assert len(steps) == n_opt
-        assert len(states) == trials * runs
+        assert len(states) == 1  # the first draw; the rest are one batch of the same weights
         op = reduced.reduced_operator(n, k, np.pi / 2)
         c4 = reduced.evolve_reduced(reduced.reduced_initial_state(n, k), op, n_opt)[3]
         marked_edges = [edge_index(n, a, b) for a in range(k) for b in range(k) if a != b]
