@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from itertools import islice
 
 import numpy as np
@@ -118,16 +119,25 @@ def _emit(args, spec: dict, table: dict[str, list], summary: dict) -> int:
 _ROW_BYTES = {"csv": 579, "json": 842}
 
 
+def _gib(nbytes: int) -> str:
+    gib = Decimal(nbytes) / 2**30  # a float overflows at the byte count of --n 10**400
+    return f"{gib:.1f}" if gib < 10**9 else f"{gib:.2e}"
+
+
 def _memory_guard(need: int, what: str, purpose: str) -> None:
     """Refuse with ValueError, before allocating, what needs more than physical memory."""
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB for {purpose}, "
-                         f"more than the {have / 2**30:.1f} GiB of physical memory")
+        raise ValueError(f"{what} needs {_gib(need)} GiB for {purpose}, "
+                         f"more than the {_gib(have)} GiB of physical memory")
+
+
+def _grid_bytes(n: int) -> int:
+    return 2 * n * n * 16  # state and step output
 
 
 def _grid_guard(n: int) -> None:
-    _memory_guard(2 * n * n * 16, f"n={n}", "the full-state grids")  # state and step output
+    _memory_guard(_grid_bytes(n), f"n={n}", "the full-state grids")
 
 
 def _parse_marked(args, n: int) -> frozenset[int]:
@@ -296,9 +306,11 @@ def cmd_stats(args) -> int:
         if args.engine == "full":
             # the grids plus the draws: peak RSS at 4M draws, n=64, over that of one
             # trial is 24 B per draw and 20 B + k B per trial; counted plus 25%
-            need = 2 * args.n * args.n * 16 + args.trials * (30 * args.runs + 25 + args.k)
+            need = _grid_bytes(args.n) + args.trials * (30 * args.runs + 25 + args.k)
             purpose = "the full-state grids and the Monte Carlo draws"
-        else:  # measured peak: 17 B per draw, 40 B + k B per trial, 112 B per marked pair
+        else:  # peak RSS at 4M draws, runs 1-64, k 2 and 8, over that of one trial is
+            # about 9 B per draw and 36 B per trial: the count below covers each peak
+            # by at least 25%; plus 112 B per marked pair
             need = args.trials * (17 * args.runs + 40 + args.k) + 112 * math.comb(args.k, 2)
             purpose = "the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",

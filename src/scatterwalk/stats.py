@@ -146,17 +146,22 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     )
 
 
-def _discovered_law(k_marked: int, found: np.ndarray, pair: np.ndarray) -> dict[int, float]:
+def _discovered_law(
+    k_marked: int, found: np.ndarray, pair: np.ndarray, codes: np.ndarray | None = None
+) -> dict[int, float]:
     """Simulated law of the discovered-vertex count over trials.
 
     `found` and `pair` are (trials, runs) arrays: whether each run measured
-    a marked edge (a, b), and that edge as a * K + b, read only where found.
+    a marked edge (a, b), and that edge as a * K + b, or as its index into
+    `codes` when given; `pair` is read only where found.
     """
     trials, runs = found.shape
     seen = np.zeros((trials, k_marked), dtype=bool)
     for r in range(runs):
         rows = np.flatnonzero(found[:, r])
         hits = pair[:, r][rows]
+        if codes is not None:
+            hits = codes[hits]
         seen[rows, hits // k_marked] = True
         seen[rows, hits % k_marked] = True
     counts = np.bincount(seen.sum(axis=1), minlength=k_marked + 1).tolist()
@@ -179,11 +184,11 @@ def _simulate_coverage_reduced(
         reduced.reduced_initial_state(n_vertices, k_marked), op, n_opt
     )
     p_success = float(np.abs(final[3]) ** 2)
-    pairs = np.array([a * k_marked + b for a, b in combinations(range(k_marked), 2)],
+    codes = np.array([a * k_marked + b for a, b in combinations(range(k_marked), 2)],
                      dtype=np.intp)
     success = rng.random((trials, runs)) < p_success
-    pair = pairs[rng.integers(0, len(pairs), size=(trials, runs))]
-    dist = _discovered_law(k_marked, success, pair)
+    pair = rng.integers(0, len(codes), size=(trials, runs))
+    dist = _discovered_law(k_marked, success, pair, codes)
     return dist, float(success.mean()), trials * runs * 2 * n_opt
 
 

@@ -214,6 +214,14 @@ class TestRunCommand:
             (("stats", "--k", "3", "--runs", "2", "--mode", "mc", "--engine", "full",
               "--n", "64", "--trials", str(10**15)),
              "the full-state grids and the Monte Carlo draws"),
+            # a byte count past float64's range
+            (("run", "--engine", "full", "--n", str(10**400), "--k", "3", "--steps", "3"),
+             "the full-state grids"),
+            (("run", "--engine", "oracle", "--n", str(10**400), "--k", "3", "--steps", "3"),
+             "the full-state grids"),
+            (("stats", "--k", "3", "--runs", "2", "--mode", "mc", "--engine", "full",
+              "--n", str(10**400), "--trials", "5"),
+             "the full-state grids and the Monte Carlo draws"),
         ],
     )
     def test_oversized_output_exits_2_before_allocating(
@@ -652,6 +660,9 @@ class TestFlagFuzz:
     @example(["run", "--engine=reduced", "--n=9000000000000000000", "--k=3", "--steps=3"])
     @example(["stats", "--mode=mc", f"--n={10**21}", "--k=3", "--runs=2", "--trials=5"])
     @example(["stats", "--mode=mc", f"--n={10**400}", "--k=3", "--runs=2", "--trials=5"])
+    @example(["run", "--engine=full", f"--n={10**400}", "--k=3", "--steps=3"])
+    @example(["stats", "--mode=mc", "--engine=full", f"--n={10**400}", "--k=3", "--runs=2",
+              "--trials=5"])
     def test_random_flags_exit_0_or_2_with_one_error_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
