@@ -303,15 +303,16 @@ def cmd_stats(args) -> int:
             raise ValueError("mc mode requires --n")
         if args.k > args.n:
             raise ValueError(f"k={args.k} out of range for n={args.n}")
+        # peak RSS at 4M draws, n=64, k 2 and 8, runs 1 to 4M, over that of one
+        # draw; the counts below cover each peak by at least 25%, plus the k B
+        # per trial of the discovered-vertex mask
         if args.engine == "full":
-            # the grids plus the draws: peak RSS at 4M draws, n=64, over that of one
-            # trial is 24 B per draw and 20 B + k B per trial; counted plus 25%
-            need = _grid_bytes(args.n) + args.trials * (30 * args.runs + 25 + args.k)
+            # the grids plus the draws: at most 31.8 B per draw and 1.4 B per trial
+            need = _grid_bytes(args.n) + args.trials * (40 * args.runs + args.k)
             purpose = "the full-state grids and the Monte Carlo draws"
-        else:  # peak RSS at 4M draws, runs 1-64, k 2 and 8, over that of one trial is
-            # about 9 B per draw and 36 B per trial: the count below covers each peak
-            # by at least 25%; plus 112 B per marked pair
-            need = args.trials * (17 * args.runs + 40 + args.k) + 112 * math.comb(args.k, 2)
+        else:  # at most 23.9 B per draw, and up to 30 B per trial more at runs 1-4;
+            # plus 112 B per marked pair
+            need = args.trials * (30 * args.runs + 36 + args.k) + 112 * math.comb(args.k, 2)
             purpose = "the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
                       purpose)
@@ -371,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--phase", default="pi/2", help="edge phase: radians or pi, pi/2, pi/4")
     run.add_argument("--steps", default="auto", help="step count, or 'auto' for the optimum")
     run.add_argument("--engine", choices=("full", "reduced", "oracle"), default="reduced")
-    run.add_argument("--seed", type=int, default=0, help="recorded in the output spec")
+    run.add_argument("--seed", type=int, default=0,
+                     help="only recorded in the JSON spec; run draws no random numbers")
     run.add_argument("--out", help="output path (default: stdout)")
     run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=cmd_run)

@@ -82,7 +82,10 @@ class WalkConfig:
         if any(v < 0 or v >= n for v in marked):
             raise ValueError(f"marked vertices must lie in 0..{n - 1}: {sorted(marked)}")
         object.__setattr__(self, "marked_set", marked)
-        object.__setattr__(self, "phase", float(self.phase))
+        phase = float(self.phase)
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {self.phase!r}")
+        object.__setattr__(self, "phase", phase)
 
     @property
     def k_marked(self) -> int:

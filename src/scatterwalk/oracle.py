@@ -22,7 +22,7 @@ verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb
 
 import numpy as np
@@ -124,13 +124,8 @@ def copy_endpoints(state: CompositeState) -> CompositeState:
     """Copy gate: load the edge endpoints into the blank vertex registers."""
     if not state.registers_blank:
         raise ValueError("vertex registers already populated; copy gate needs blanks")
-    return CompositeState(
-        n_vertices=state.n_vertices,
-        edge=state.edge,
-        vertex_a=state.edge[0],
-        vertex_b=state.edge[1],
-        ancilla=state.ancilla.copy(),
-    )
+    source, target = state.edge
+    return replace(state, vertex_a=source, vertex_b=target, ancilla=state.ancilla.copy())
 
 
 def uncopy_endpoints(state: CompositeState) -> CompositeState:
@@ -139,13 +134,7 @@ def uncopy_endpoints(state: CompositeState) -> CompositeState:
         raise ValueError(
             f"registers {(state.vertex_a, state.vertex_b)} do not mirror edge {state.edge}"
         )
-    return CompositeState(
-        n_vertices=state.n_vertices,
-        edge=state.edge,
-        vertex_a=BLANK,
-        vertex_b=BLANK,
-        ancilla=state.ancilla.copy(),
-    )
+    return replace(state, vertex_a=BLANK, vertex_b=BLANK, ancilla=state.ancilla.copy())
 
 
 def apply_oracle(state: CompositeState, f: OracleFunction) -> CompositeState:
@@ -156,14 +145,7 @@ def apply_oracle(state: CompositeState, f: OracleFunction) -> CompositeState:
     """
     if state.registers_blank:
         raise ValueError("oracle requires populated vertex registers")
-    value = f(state.vertex_a, state.vertex_b)
-    return CompositeState(
-        n_vertices=state.n_vertices,
-        edge=state.edge,
-        vertex_a=state.vertex_a,
-        vertex_b=state.vertex_b,
-        ancilla=np.roll(state.ancilla, value),
-    )
+    return replace(state, ancilla=np.roll(state.ancilla, f(state.vertex_a, state.vertex_b)))
 
 
 def conjugated_oracle(edge_state_index: int, f: OracleFunction) -> complex:

@@ -104,9 +104,12 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOpe
     or back inside the marked class picks up e^{i*phi} or e^{2i*phi}.
     """
     _check_range(n_vertices, k_marked)
+    phase = float(phase)
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
     n, k = n_vertices, k_marked
     t, r = core.coefficients(n)
-    e = np.exp(1j * float(phase))
+    e = np.exp(1j * phase)
     m = np.zeros((4, 4), dtype=np.complex128)
     m[1, 0] = r - (k - 2) * t
     m[3, 0] = t * e * math.sqrt((k - 1) * (n - k))
@@ -117,7 +120,7 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOpe
     m[1, 3] = t * e * math.sqrt((k - 1) * (n - k))
     m[3, 3] = (t * (k - 2) - r) * e * e
     m.setflags(write=False)
-    return ReducedOperator(matrix=m, n_vertices=n, k_marked=k, phase=float(phase))
+    return ReducedOperator(matrix=m, n_vertices=n, k_marked=k, phase=phase)
 
 
 def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:

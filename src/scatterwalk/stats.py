@@ -11,7 +11,9 @@ keeps the real failure probability.  One transition law of that count
 serves the exact distribution and the expected runs to see every vertex.
 Only the measurement is random, so the full-engine Monte Carlo evolves
 the state once per configuration and draws every measurement of it in
-one batch.
+one batch.  Both Monte Carlo engines hand their draws, as the runs that
+found a marked edge and the pair each found, to one count with no loop
+over runs, and the success rate is taken from those draws in one place.
 """
 
 from __future__ import annotations
@@ -146,37 +148,35 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     )
 
 
-def _discovered_law(
-    k_marked: int, found: np.ndarray, pair: np.ndarray, codes: np.ndarray | None = None
-) -> dict[int, float]:
+def _discovered_law(k_marked: int, found: np.ndarray, hits: np.ndarray) -> dict[int, float]:
     """Simulated law of the discovered-vertex count over trials.
 
-    `found` and `pair` are (trials, runs) arrays: whether each run measured
-    a marked edge (a, b), and that edge as a * K + b, or as its index into
-    `codes` when given; `pair` is read only where found.
+    `found` is the (trials, runs) mask of runs that measured a marked edge
+    (a, b), and `hits` holds a * K + b for each of them, in the row-major
+    order of `found`.  Every endpoint is marked seen in one fancy
+    assignment, so the cost does not depend on how the draws are split
+    into trials and runs.
     """
     trials, runs = found.shape
     seen = np.zeros((trials, k_marked), dtype=bool)
-    for r in range(runs):
-        rows = np.flatnonzero(found[:, r])
-        hits = pair[:, r][rows]
-        if codes is not None:
-            hits = codes[hits]
-        seen[rows, hits // k_marked] = True
-        seen[rows, hits % k_marked] = True
+    rows = np.flatnonzero(found)
+    rows //= runs  # the trial of each found run
+    seen[rows, hits // k_marked] = True
+    seen[rows, hits % k_marked] = True
     counts = np.bincount(seen.sum(axis=1), minlength=k_marked + 1).tolist()
     return {j: c / trials for j, c in enumerate(counts) if c}
 
 
 def _simulate_coverage_reduced(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
-) -> tuple[dict[int, float], float, int]:
-    """Monte Carlo coverage using the exact per-run measurement law.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Monte Carlo draws from the exact per-run measurement law.
 
     The evolved state stays inside the four-class subspace, so a run
     succeeds with probability |c4(n_opt)|^2 and, conditional on success,
     returns a uniformly random marked pair; that law is sampled directly
     instead of re-running the identical deterministic evolution per trial.
+    Returns (found, hits, oracle calls) as `_discovered_law` reads them.
     """
     n_opt = reduced.optimal_steps(n_vertices, k_marked)
     op = reduced.reduced_operator(n_vertices, k_marked, np.pi / 2)
@@ -188,19 +188,19 @@ def _simulate_coverage_reduced(
                      dtype=np.intp)
     success = rng.random((trials, runs)) < p_success
     pair = rng.integers(0, len(codes), size=(trials, runs))
-    dist = _discovered_law(k_marked, success, pair, codes)
-    return dist, float(success.mean()), trials * runs * 2 * n_opt
+    return success, codes[pair[success]], trials * runs * 2 * n_opt
 
 
 def _simulate_coverage_full(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
-) -> tuple[dict[int, float], float, int]:
-    """Monte Carlo coverage measuring the oracle engine's evolved state.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Monte Carlo draws measuring the oracle engine's evolved state.
 
     The state is evolved once.  Its first draw is one `sample_measurement`,
     which validates it; the other trials * runs - 1 are one batch from the
     same Born weights and generator, so every edge is the one a `run_search`
-    per draw would measure.  Oracle calls are counted per search.
+    per draw would measure.  Oracle calls are counted per search.  Returns
+    (found, hits, oracle calls) as `_discovered_law` reads them.
     """
     config = WalkConfig(
         n_vertices=n_vertices, marked_set=frozenset(range(k_marked)), phase=np.pi / 2
@@ -215,13 +215,14 @@ def _simulate_coverage_full(
     source, target = np.divmod(index, n - 1)
     del index
     target += target >= source
-    found = ((source < k_marked) & (target < k_marked)).reshape(trials, runs)
-    source *= k_marked  # in place into the pair code, so at most 3 draw-sized arrays live
-    source += target
-    del target
-    dist = _discovered_law(k_marked, found, source.reshape(trials, runs))
-    successes = int(np.count_nonzero(found))
-    return dist, successes / (trials * runs), trials * runs * ledger.quantum_calls
+    found = (source < k_marked) & (target < k_marked)
+    hits = source[found]
+    hits *= k_marked
+    hits += target[found]
+    return found.reshape(trials, runs), hits, trials * runs * ledger.quantum_calls
+
+
+_SIMULATORS = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}
 
 
 def coverage_distribution(
@@ -259,15 +260,13 @@ def coverage_distribution(
         raise ValueError("mc mode requires n_vertices")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = _rng(seed)
-    if engine == "reduced":
-        dist, rate, calls = _simulate_coverage_reduced(k_marked, runs, n_vertices, trials, rng)
-    elif engine == "full":
-        dist, rate, calls = _simulate_coverage_full(k_marked, runs, n_vertices, trials, rng)
-    else:
+    simulate = _SIMULATORS.get(engine)
+    if simulate is None:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
+    found, hits, calls = simulate(k_marked, runs, n_vertices, trials, _rng(seed))
     return CoverageDistribution(
-        runs=runs, probabilities=dist, mode="simulated", success_rate=rate, oracle_calls=calls
+        runs=runs, probabilities=_discovered_law(k_marked, found, hits), mode="simulated",
+        success_rate=int(np.count_nonzero(found)) / found.size, oracle_calls=calls,
     )
 
 

@@ -77,6 +77,30 @@ def coverage_by_enumeration(k, runs):
     return {j: Fraction(c, total) for j, c in sorted(by_count.items())}
 
 
+def coverage_by_replay(k, runs, trials, seed, p_success):
+    """(probabilities, success rate) of the reduced Monte Carlo, replayed.
+
+    Redraws the reduced engine's stream from `seed`, all `trials` x `runs`
+    uniforms against `p_success` and then all marked-pair indices into
+    combinations(range(k), 2), and counts each trial's discovered vertices
+    with a Python set, one run at a time.
+    """
+    pairs = list(combinations(range(k), 2))
+    rng = np.random.default_rng(seed)
+    success = rng.random((trials, runs)) < p_success
+    pair = rng.integers(0, len(pairs), size=(trials, runs))
+    counts, successes = {}, 0
+    for t in range(trials):
+        seen = set()
+        for r in range(runs):
+            if success[t, r]:
+                seen.update(pairs[pair[t, r]])
+                successes += 1
+        counts[len(seen)] = counts.get(len(seen), 0) + 1
+    probabilities = {j: c / trials for j, c in sorted(counts.items())}
+    return probabilities, successes / (trials * runs)
+
+
 def naive_dense_operator(n, marked, phi):
     """Step operator assembled column by column from the local rules.
 

@@ -318,6 +318,11 @@ class TestWalkConfig:
         with pytest.raises(ValueError):
             WalkConfig(n_vertices=2)
 
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_phase(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            WalkConfig(10, frozenset({0, 1}), phase)
+
     def test_k_marked(self):
         assert WalkConfig(6, frozenset({1, 3, 5})).k_marked == 3
         assert WalkConfig(6).k_marked == 0

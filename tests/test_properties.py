@@ -175,7 +175,7 @@ def observations(draw):
     near = [v for v in STRIP_EDGES + (n - 2, n - 1) if v < n]
     marked = set(draw(st.lists(st.sampled_from(near), min_size=1, max_size=4)))
     marked |= set(draw(st.lists(st.integers(0, n - 1), max_size=4)))
-    marked.add(min(set(range(n)) - marked))  # K >= 2
+    marked.add(min(set(range(n)) - marked, default=0))  # K >= 2; every vertex may be drawn
     marked = sorted(marked)[: n - 2]
     seed = draw(st.integers(0, 2**32 - 1))
     return n, tuple(marked), seed, draw(st.sampled_from(("rows", "transposed", "strided")))
@@ -205,4 +205,6 @@ def test_observe_matches_the_naive_class_basis(case):
     assert abs(residual - np.linalg.norm(state - basis @ expected)) < 1e-12
     assert abs(p_marked - np.sum(np.abs(state[basis[:, 3] != 0]) ** 2)) < 1e-12
     assert abs(norm - np.linalg.norm(state)) < 1e-12
-    assert residual > 0.5  # a random state lies mostly outside the subspace
+    # a random state lies mostly outside the subspace; at N = 4 that is 8 of 12
+    # dimensions, and the residual can fall below 0.5 (0.49 at N = 4, seed 51928)
+    assert residual > 0.1

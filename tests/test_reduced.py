@@ -80,6 +80,11 @@ class TestReducedOperator:
         m = reduced_operator(n, 3, np.pi / 2).matrix
         assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
 
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_phase(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            reduced_operator(10, 2, phase)
+
     @pytest.mark.parametrize("n", [10**155, 10**400])
     def test_rejects_sizes_past_float64(self, n):
         with pytest.raises(ValueError, match="N\\(N-1\\) <= 1.8e\\+308"):

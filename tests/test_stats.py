@@ -18,7 +18,7 @@ from scatterwalk.stats import (
     sample_measurement,
 )
 
-from helpers import coverage_by_enumeration, edge_index
+from helpers import coverage_by_enumeration, coverage_by_replay, edge_index
 
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
 P_SUCCESS_N100_K2 = 0.980108582511343
@@ -229,8 +229,29 @@ class TestCoverageMonteCarlo:
 
     @pytest.mark.parametrize(
         "n, k, runs, trials, seed",
+        [(100, 3, 5000, 1, 1),  # one long trial
+         (50, 2, 3, 2000, 2),   # K = 2, one marked pair
+         (30, 28, 4, 500, 3),   # K = N - 2
+         (5, 2, 1, 3000, 4)],   # p_success about 0.51: many trials find nothing
+    )
+    def test_reduced_engine_equals_a_replay_of_its_stream(self, n, k, runs, trials, seed):
+        op = reduced.reduced_operator(n, k, np.pi / 2)
+        n_opt = reduced.optimal_steps(n, k)
+        p_success = float(np.abs(reduced.evolve_reduced(
+            reduced.reduced_initial_state(n, k), op, n_opt)[3]) ** 2)
+        dist = coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=seed,
+                                     engine="reduced")
+        probabilities, success_rate = coverage_by_replay(k, runs, trials, seed, p_success)
+        assert dist.probabilities == probabilities
+        assert dist.success_rate == success_rate
+        if n == 5:
+            assert probabilities[0] > 0.4  # about half the trials find nothing
+
+    @pytest.mark.parametrize(
+        "n, k, runs, trials, seed",
         [(12, 2, 1, 150, 0), (30, 3, 3, 60, 1), (64, 5, 1, 40, 2), (300, 5, 2, 10, 3),
-         (20, 3, 1, 1, 4)],  # the last draws one measurement and an empty batch
+         (20, 3, 1, 1, 4),  # one measurement and an empty batch
+         (12, 3, 2000, 1, 6)],  # one long trial
     )
     def test_full_engine_equals_a_run_search_per_draw(self, n, k, runs, trials, seed):
         dist = coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=seed,
