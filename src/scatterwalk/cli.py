@@ -303,16 +303,16 @@ def cmd_stats(args) -> int:
             raise ValueError("mc mode requires --n")
         if args.k > args.n:
             raise ValueError(f"k={args.k} out of range for n={args.n}")
-        # peak RSS at 4M draws, n=64, k 2 and 8, runs 1 to 4M, over that of one
-        # draw; the counts below cover each peak by at least 25%, plus the k B
-        # per trial of the discovered-vertex mask
+        # both engines peak in the shared count: peak RSS at 4M draws, n=64, k 2
+        # and 8, runs 1 to 4M, over that of one draw is at most 24.9 B per draw,
+        # and up to 31 B per trial more at runs 1-4 (glibc's heap keeps that);
+        # counted plus 25%, with the k B per trial of the discovered-vertex mask
+        need = args.trials * (32 * args.runs + 37 + args.k)
         if args.engine == "full":
-            # the grids plus the draws: at most 31.8 B per draw and 1.4 B per trial
-            need = _grid_bytes(args.n) + args.trials * (40 * args.runs + args.k)
+            need += _grid_bytes(args.n)
             purpose = "the full-state grids and the Monte Carlo draws"
-        else:  # at most 23.9 B per draw, and up to 30 B per trial more at runs 1-4;
-            # plus 112 B per marked pair
-            need = args.trials * (30 * args.runs + 36 + args.k) + 112 * math.comb(args.k, 2)
+        else:
+            need += 112 * math.comb(args.k, 2)  # the marked-pair table
             purpose = "the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
                       purpose)

@@ -217,12 +217,10 @@ def _simulate_coverage_full(
     target += target >= source
     found = (source < k_marked) & (target < k_marked)
     hits = source[found]
+    del source
     hits *= k_marked
     hits += target[found]
     return found.reshape(trials, runs), hits, trials * runs * ledger.quantum_calls
-
-
-_SIMULATORS = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}
 
 
 def coverage_distribution(
@@ -260,7 +258,7 @@ def coverage_distribution(
         raise ValueError("mc mode requires n_vertices")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    simulate = _SIMULATORS.get(engine)
+    simulate = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}.get(engine)
     if simulate is None:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
     found, hits, calls = simulate(k_marked, runs, n_vertices, trials, _rng(seed))
