@@ -30,8 +30,6 @@ from .oracle import (
     oracle_step,
 )
 from .reduced import (
-    ReducedOperator,
-    SpectralDecomposition,
     asymptotic_amplitudes,
     embed,
     evolve_reduced,
@@ -65,8 +63,6 @@ __all__ = [
     "evolve",
     "marked_probability",
     "dense_step_operator",
-    "ReducedOperator",
-    "SpectralDecomposition",
     "reduced_operator",
     "reduced_initial_state",
     "project",

@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="run the invariant suites")
-    ver.add_argument("--profile", choices=("default", "strict"), default="default")
+    ver.add_argument("--profile", choices=tuple(verify.PROFILES), default="default")
     ver.set_defaults(func=cmd_verify)
 
     st = sub.add_parser("stats", help="multi-run discovery statistics")

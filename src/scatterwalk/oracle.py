@@ -86,7 +86,6 @@ class CompositeState:
     otherwise; the ancilla is a 4-component complex vector.
     """
 
-    n_vertices: int
     edge: tuple[int, int]
     vertex_a: int | None
     vertex_b: int | None
@@ -106,18 +105,12 @@ def kickback_ancilla() -> np.ndarray:
     return np.array([0.5, -0.5j, -0.5, 0.5j], dtype=np.complex128)
 
 
-def prepare_composite(
-    n_vertices: int, edge: tuple[int, int], ancilla: np.ndarray | None = None
-) -> CompositeState:
-    """Composite state for one basis edge, registers blank."""
+def prepare_composite(n_vertices: int, edge: tuple[int, int]) -> CompositeState:
+    """Composite state for one basis edge, registers blank, ancilla ready."""
     source, target = edge
     core.edge_index(n_vertices, source, target)  # validates the pair
-    anc = kickback_ancilla() if ancilla is None else np.asarray(ancilla, dtype=np.complex128)
-    if anc.shape != (4,):
-        raise ValueError(f"ancilla must have shape (4,), got {anc.shape}")
-    return CompositeState(
-        n_vertices=n_vertices, edge=(source, target), vertex_a=BLANK, vertex_b=BLANK, ancilla=anc
-    )
+    return CompositeState(edge=(source, target), vertex_a=BLANK, vertex_b=BLANK,
+                          ancilla=kickback_ancilla())
 
 
 def copy_endpoints(state: CompositeState) -> CompositeState:

@@ -15,6 +15,11 @@ computed from the resulting 4x4 unitary, at cost independent of N.
 Component order is always (w1, w2, w3, w4); the basis requires
 2 <= K <= N-2 so that no class is empty.
 
+`reduced_operator` returns that unitary as a read-only (4, 4) complex
+array, and the spectral functions (`spectral_decompose`, which returns
+an (eigenvalues, eigenvectors) pair, `evolve_reduced` and
+`component_series`) take any such array.
+
 `observe` reads one full-state grid into what a step record shows: the
 class amplitudes, the norm of the component outside the subspace, the
 marked-edge probability and the norm.  It takes the grid's marked rows,
@@ -29,7 +34,6 @@ import math
 import sys
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +41,6 @@ from . import core
 from .core import WalkConfig
 
 __all__ = [
-    "ReducedOperator",
-    "SpectralDecomposition",
     "reduced_operator",
     "reduced_initial_state",
     "observe",
@@ -72,32 +74,8 @@ def _check_range(n_vertices: int, k_marked: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ReducedOperator:
-    """One walk step restricted to the (w1, w2, w3, w4) basis."""
-
-    matrix: np.ndarray
-    n_vertices: int
-    k_marked: int
-    phase: float
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigen-system of a reduced step operator.
-
-    eigenvalues: the four eigenvalues, on the unit circle to within 1e-8;
-        their powers are taken as phases, so only their angles matter.
-    eigenvectors: orthonormal eigenvectors as columns (degenerate
-        eigenspaces come out orthonormalized).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOperator:
-    """Build the 4x4 step operator for (N, K, phi).
+def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray:
+    """The read-only 4x4 complex step operator for (N, K, phi).
 
     Columns are the images of w1..w4 under one step: scattering mixes the
     cross classes w1/w2 with w3 and w4, and every transition into, out of,
@@ -120,7 +98,7 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> ReducedOpe
     m[1, 3] = t * e * math.sqrt((k - 1) * (n - k))
     m[3, 3] = (t * (k - 2) - r) * e * e
     m.setflags(write=False)
-    return ReducedOperator(matrix=m, n_vertices=n, k_marked=k, phase=phase)
+    return m
 
 
 def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
@@ -223,34 +201,39 @@ def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
     return state
 
 
-def spectral_decompose(op: ReducedOperator) -> SpectralDecomposition:
-    """Eigenvalues and orthonormal eigenvectors of a reduced operator.
+def spectral_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a 4x4 reduced operator.
 
-    The eigenvectors from a general eigensolver are orthonormalized by a QR
-    factorization; the eigenspaces of a unitary (hence normal) matrix are
-    mutually orthogonal, so the columns stay eigenvectors even when
-    eigenvalues collide.  The eigenvalues are then read off as diag(V^H U V).
-    Inputs whose spectrum strays off the unit circle by more than 1e-8 are
-    rejected as non-unitary.
+    The eigenvectors, returned as orthonormal columns, come from a general
+    eigensolver and are orthonormalized by a QR factorization; the
+    eigenspaces of a unitary (hence normal) matrix are mutually orthogonal,
+    so the columns stay eigenvectors even when eigenvalues collide.  The
+    eigenvalues are then read off as diag(V^H U V); their powers are taken
+    as phases, so only their angles matter.  Any shape other than (4, 4)
+    is refused, and so is a spectrum that strays off the unit circle by
+    more than 1e-8 (a non-unitary operator).
     """
-    vecs, _ = np.linalg.qr(np.linalg.eig(op.matrix)[1])
-    eigenvalues = np.einsum("ij,ij->j", vecs.conj(), op.matrix @ vecs)
+    op = np.asarray(op, dtype=np.complex128)
+    if op.shape != (4, 4):
+        raise ValueError(f"reduced operator must have shape (4, 4), got {op.shape}")
+    vecs, _ = np.linalg.qr(np.linalg.eig(op)[1])
+    eigenvalues = np.einsum("ij,ij->j", vecs.conj(), op @ vecs)
     if np.max(np.abs(np.abs(eigenvalues) - 1.0)) > 1e-8:
         raise ValueError("operator is not unitary: eigenvalues leave the unit circle")
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vecs)
+    return eigenvalues, vecs
 
 
-def _spectral_powers(spec: SpectralDecomposition, steps) -> np.ndarray:
+def _spectral_powers(eigenvalues: np.ndarray, steps) -> np.ndarray:
     """Eigenvalues to the power `steps` (an int or an array of them), taken
     as phases exp(i n theta): a power lambda ** n would carry the
     rounding-level modulus error of lambda as |lambda| ** n."""
     n = np.asarray(steps, dtype=np.float64)
-    phases = np.multiply.outer(n, np.angle(spec.eigenvalues)) * 1j
+    phases = np.multiply.outer(n, np.angle(eigenvalues)) * 1j
     return np.exp(phases, out=phases)
 
 
-def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.ndarray:
-    """State after `steps` applications of the reduced operator.
+def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
+    """State after `steps` applications of the 4x4 reduced operator `op`.
 
     Computed through the spectral decomposition, each eigenvalue's power
     taken as a phase, so the cost does not grow with the step count.
@@ -259,19 +242,19 @@ def evolve_reduced(state: np.ndarray, op: ReducedOperator, steps: int) -> np.nda
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (4,):
         raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
-    spec = spectral_decompose(op)
-    coeff = spec.eigenvectors.conj().T @ state
-    return spec.eigenvectors @ (_spectral_powers(spec, steps) * coeff)
+    eigenvalues, vecs = spectral_decompose(op)
+    coeff = vecs.conj().T @ state
+    return vecs @ (_spectral_powers(eigenvalues, steps) * coeff)
 
 
-def component_series(op: ReducedOperator, state: np.ndarray, horizon: int) -> np.ndarray:
+def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndarray:
     """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
     the same spectral phases as `evolve_reduced`."""
-    spec = spectral_decompose(op)
-    coeff = spec.eigenvectors.conj().T @ np.asarray(state, dtype=np.complex128)
-    powers = _spectral_powers(spec, np.arange(horizon + 1))
+    eigenvalues, vecs = spectral_decompose(op)
+    coeff = vecs.conj().T @ np.asarray(state, dtype=np.complex128)
+    powers = _spectral_powers(eigenvalues, np.arange(horizon + 1))
     powers *= coeff
-    return powers @ spec.eigenvectors.T
+    return powers @ vecs.T
 
 
 def localization_rate(n_vertices: int, k_marked: int) -> float:

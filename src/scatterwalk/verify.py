@@ -3,12 +3,13 @@
 Each suite exercises one structural invariant (unitarity, the fixed
 point, reduction consistency, circuit equivalence, reference values) on a
 fixed parameter grid.  A suite is a generator of cases, each a
-(deviation, tolerance, detail) triple whose detail names the case's
-parameters; one runner, `_suite`, tracks the worst deviation, stops at the
-first case over its tolerance and builds the suite's `CheckResult`.  Two
-tolerance profiles exist: "default" uses the advertised tolerances,
-"strict" tightens every tolerance tenfold and extends the dense checks to
-N = 12.
+(deviation, tolerance, detail) triple whose tolerance is the advertised
+one and whose detail names the case's parameters; one runner, `_suite`,
+tracks the worst deviation, stops at the first case over its scaled
+tolerance and builds the suite's `CheckResult`.  A profile is a name in
+`PROFILES`: "default" uses the advertised tolerances, "strict" tightens
+every tolerance tenfold, extends the dense checks to N = 12 and doubles
+the random states of the norm check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import core, oracle, reduced, stats
 from .core import WalkConfig
 from .oracle import OracleFunction, QueryLedger
 
-__all__ = ["CheckResult", "ToleranceProfile", "PROFILES", "run_checks", "CHECKS"]
+__all__ = ["CheckResult", "PROFILES", "run_checks", "CHECKS"]
 
 _SEED = 0x5CA77E2
 
@@ -37,30 +38,11 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    name: str
-    norm_tol: float = 1e-12
-    fixed_point_tol: float = 1e-13
-    dense_unitarity_tol: float = 1e-12
-    dense_match_tol: float = 1e-13
-    projection_tol: float = 1e-12
-    closure_tol: float = 1e-10
-    equivalence_tol: float = 1e-10
-    circuit_tol: float = 1e-13
-    reference_tol: float = 1e-12
-    dense_max_n: int = 10
-    random_states: int = 20
-
-
-def _strict(profile: ToleranceProfile) -> ToleranceProfile:
-    tighter = {f.name: getattr(profile, f.name) * 0.1 for f in fields(profile)
-               if f.name.endswith("_tol")}
-    return replace(profile, name="strict", dense_max_n=12, random_states=40, **tighter)
-
-
-PROFILES: dict[str, ToleranceProfile] = {"default": ToleranceProfile(name="default")}
-PROFILES["strict"] = _strict(PROFILES["default"])
+#: name -> (tolerance scale, largest N of the dense checks, random states per config)
+PROFILES: dict[str, tuple[float, int, int]] = {
+    "default": (1.0, 10, 20),
+    "strict": (0.1, 12, 40),
+}
 
 _PHASES = (0.0, np.pi / 2, np.pi)
 
@@ -85,7 +67,7 @@ def _where(config: WalkConfig) -> str:
     return f"N={config.n_vertices}, K={config.k_marked}, phi={config.phase:.6g}"
 
 
-def check_unitarity(profile: ToleranceProfile) -> Iterator[Case]:
+def check_unitarity(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Norm preservation of the matrix-free step, plus dense-operator checks.
 
     The dense operator is assembled from the (t, r) pair entry by entry,
@@ -95,55 +77,53 @@ def check_unitarity(profile: ToleranceProfile) -> Iterator[Case]:
     rng = np.random.default_rng(_SEED)
     for config in _configs((3, 5, 10, 30), (0, 2, 3)):
         dim = core.n_edge_states(config.n_vertices)
-        for _ in range(profile.random_states):
+        for _ in range(random_states):
             err = abs(np.linalg.norm(core.apply_step(_random_state(rng, dim), config)) - 1.0)
-            yield err, profile.norm_tol, f"norm error {err:.3e} at {_where(config)}"
-    for config in _configs((4, 6, profile.dense_max_n), (0, 2, 3)):
+            yield err, 1e-12, f"norm error {err:.3e} at {_where(config)}"
+    for config in _configs((4, 6, dense_max_n), (0, 2, 3)):
         dense = core.dense_step_operator(config)
         err = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
-        yield (err, profile.dense_unitarity_tol,
-               f"dense U^dag U deviates by {err:.3e} at {_where(config)}")
+        yield err, 1e-12, f"dense U^dag U deviates by {err:.3e} at {_where(config)}"
         applied = np.column_stack(
             [core.apply_step(col, config) for col in np.eye(dense.shape[0], dtype=complex).T]
         )
         err = np.abs(applied - dense).max()
-        yield (err, profile.dense_match_tol,
-               f"matrix-free/dense mismatch {err:.3e} at {_where(config)}")
+        yield err, 1e-13, f"matrix-free/dense mismatch {err:.3e} at {_where(config)}"
 
 
-def check_fixed_point(profile: ToleranceProfile) -> Iterator[Case]:
+def check_fixed_point(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """The uniform state is invariant under the unmarked step, componentwise."""
     for n in (3, 5, 10, 50, 200):
         state = core.initial_state(n)
         err = np.abs(core.apply_step(state, WalkConfig(n_vertices=n)) - state).max()
-        yield err, profile.fixed_point_tol, f"deviation {err:.3e} at N={n}, K=0"
+        yield err, 1e-13, f"deviation {err:.3e} at N={n}, K=0"
 
 
-def check_projection_consistency(profile: ToleranceProfile) -> Iterator[Case]:
+def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """The 4x4 operator equals the class-basis projection of the dense step."""
-    for n in range(4, profile.dense_max_n + 1):
+    for n in range(4, dense_max_n + 1):
         for k in range(2, n - 1):
             for phi in _PHASES:
                 config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phi)
                 basis = np.column_stack(
                     [reduced.embed(e, config) for e in np.eye(4, dtype=complex)])
                 projected = basis.conj().T @ core.dense_step_operator(config) @ basis
-                err = np.abs(projected - reduced.reduced_operator(n, k, phi).matrix).max()
-                yield err, profile.projection_tol, f"mismatch {err:.3e} at {_where(config)}"
+                err = np.abs(projected - reduced.reduced_operator(n, k, phi)).max()
+                yield err, 1e-12, f"mismatch {err:.3e} at {_where(config)}"
 
 
-def check_subspace_closure(profile: ToleranceProfile) -> Iterator[Case]:
+def check_subspace_closure(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Evolution started from the uniform state never leaves the class span."""
     config = WalkConfig(n_vertices=30, marked_set=frozenset(range(3)), phase=np.pi / 2)
     state = core.initial_state(30)
     for step in range(200):
         state = core.apply_step(state, config)
         _, residual = reduced.project(state, config)
-        yield (residual, profile.closure_tol,
+        yield (residual, 1e-10,
                f"residual {residual:.3e} after {step + 1} steps at N=30, K=3, phi=pi/2")
 
 
-def check_full_reduced_equivalence(profile: ToleranceProfile) -> Iterator[Case]:
+def check_full_reduced_equivalence(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Marked-edge probability agrees between the full and reduced engines."""
     for n, k in ((12, 2), (30, 3)):
         config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=np.pi / 2)
@@ -152,19 +132,18 @@ def check_full_reduced_equivalence(profile: ToleranceProfile) -> Iterator[Case]:
         comps = reduced.reduced_initial_state(n, k)
         for step in range(150):
             state = core.apply_step(state, config)
-            comps = op.matrix @ comps
+            comps = op @ comps
             err = abs(core.marked_probability(state, config) - abs(comps[3]) ** 2)
-            yield (err, profile.equivalence_tol,
-                   f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}")
+            yield err, 1e-10, f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}"
 
 
-def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
+def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """The oracle-driven step is the phase-pi/2 walk step, element for element.
 
     The gate-level circuit is run too: copy -> oracle -> uncopy on one edge
     per class must disentangle and leave the walk step's per-edge phase.
     """
-    for n in (6, profile.dense_max_n):
+    for n in (6, dense_max_n):
         config = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
         f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
         ledger = QueryLedger()
@@ -175,7 +154,7 @@ def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
         yield (abs(ledger.quantum_calls - 2 * dim), 0,
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         err = np.abs(walk_op - circuit_op).max()
-        yield err, profile.circuit_tol, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
+        yield err, 1e-13, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
         marked_edges = core.marked_edge_indices(config)
         for edge in ((2, 0), (0, 2), (2, 3), (0, 1)):  # classes w1..w4
             index = core.edge_index(n, *edge)
@@ -183,14 +162,13 @@ def check_circuit_isomorphism(profile: ToleranceProfile) -> Iterator[Case]:
             try:
                 phase = oracle.conjugated_oracle(index, f)
             except AssertionError as exc:  # the gates did not disentangle
-                yield math.inf, profile.circuit_tol, f"{exc} on edge {edge} at N={n}"
+                yield math.inf, 1e-13, f"{exc} on edge {edge} at N={n}"
                 continue
             err = abs(phase - walk_phase)
-            yield (err, profile.circuit_tol,
-                   f"circuit phase off by {err:.3e} on edge {edge} at N={n}, K=2")
+            yield err, 1e-13, f"circuit phase off by {err:.3e} on edge {edge} at N={n}, K=2"
 
 
-def check_reference_values(profile: ToleranceProfile) -> Iterator[Case]:
+def check_reference_values(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Closed-form anchor values: coefficients, step counts, coverage numbers."""
     anchors = [
         ("t(N=3)", core.coefficients(3).t, 1.0),
@@ -211,20 +189,21 @@ def check_reference_values(profile: ToleranceProfile) -> Iterator[Case]:
         ("E[runs to cover K=3]", stats.expected_runs_to_cover(3), Fraction(5, 2)),
     ]
     for label, got, want in anchors:
-        yield (abs(float(got) - float(want)), profile.reference_tol,
-               f"{label}: got {got}, want {want}")
+        yield abs(float(got) - float(want)), 1e-12, f"{label}: got {got}, want {want}"
 
 
-def _suite(name: str, cases: Iterable[Case], summary: str) -> CheckResult:
-    """Fail at the first case over its tolerance, else format `summary` (worst, count)."""
+def _suite(name: str, cases: Iterable[Case], summary: str, scale: float) -> CheckResult:
+    """Fail at the first case over its tolerance times `scale`, else format
+    `summary` (worst, count)."""
     worst, count = 0.0, 0
     for deviation, tolerance, detail in cases:
-        if not deviation <= tolerance:  # a NaN deviation fails too
+        if not deviation <= tolerance * scale:  # a NaN deviation fails too
             return CheckResult(name, False, detail)
         worst, count = max(worst, deviation), count + 1
     return CheckResult(name, True, summary.format(worst=worst, count=count))
 
 
+# every suite takes the profile's dense_max_n and random_states, used or not
 CHECKS = (
     ("unitarity", check_unitarity, "max deviation {worst:.3e}"),
     ("fixed-point", check_fixed_point, "max deviation {worst:.3e}"),
@@ -236,13 +215,11 @@ CHECKS = (
 )
 
 
-def run_checks(profile: str | ToleranceProfile = "default") -> list[CheckResult]:
-    """Run every suite under the given tolerance profile."""
-    if isinstance(profile, str):
-        try:
-            profile = PROFILES[profile]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
-            ) from None
-    return [_suite(name, suite(profile), summary) for name, suite, summary in CHECKS]
+def run_checks(profile: str = "default") -> list[CheckResult]:
+    """Run every suite under the tolerance profile of that name."""
+    try:
+        scale, dense_max_n, random_states = PROFILES[profile]
+    except KeyError:
+        raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}") from None
+    return [_suite(name, suite(dense_max_n, random_states), summary, scale)
+            for name, suite, summary in CHECKS]

@@ -71,7 +71,7 @@ def test_criterion_2_reduction_exactness():
                     [reduced.embed(e, config) for e in np.eye(4, dtype=complex)]
                 )
                 projected = basis.conj().T @ core.dense_step_operator(config) @ basis
-                err = np.abs(projected - reduced.reduced_operator(n, k, phase).matrix).max()
+                err = np.abs(projected - reduced.reduced_operator(n, k, phase)).max()
                 worst_proj = max(worst_proj, err)
     config = cfg(30, 3, np.pi / 2)
     state = core.initial_state(30)
@@ -113,7 +113,7 @@ def test_criterion_4_localization_and_optimal_steps():
     op = reduced.reduced_operator(1000, 2, np.pi / 2)
     comps = reduced.evolve_reduced(reduced.reduced_initial_state(1000, 2), op, n_opt)
     p = abs(comps[3]) ** 2
-    scan = scan_optimal_steps(op.matrix, reduced.reduced_initial_state(1000, 2), 2 * n_opt)
+    scan = scan_optimal_steps(op, reduced.reduced_initial_state(1000, 2), 2 * n_opt)
     errors = []
     for n in ASYMPTOTIC_ERROR_N:
         x = reduced.localization_rate(n, 2)

@@ -381,6 +381,23 @@ class TestVerifyCommand:
         assert run_cli("verify", "--profile", "strict") == 0
         assert "[FAIL]" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("profile, passed", [("default", True), ("strict", False)])
+    def test_strict_profile_tightens_the_advertised_tolerance(self, profile, passed,
+                                                               monkeypatch):
+        # a 5e-14 offset sits between the fixed point's 1e-13 and its strict 1e-14
+        step = core.apply_step
+        monkeypatch.setattr(core, "apply_step", lambda state, config: step(state, config) + 5e-14)
+        result = {r.name: r for r in verify.run_checks(profile)}["fixed-point"]
+        assert result.passed is passed
+        if not passed:
+            assert result.detail.endswith("at N=3, K=0")
+
+    def test_unknown_profile_is_refused_naming_the_choices(self, capsys):
+        with pytest.raises(ValueError, match=r"'loose'; choose from \['default', 'strict'\]"):
+            verify.run_checks("loose")
+        assert run_cli("verify", "--profile", "loose") == 2
+        assert "(choose from 'default', 'strict')" in capsys.readouterr().err
+
     def test_fault_injection_fails_unitarity(self, monkeypatch, capsys):
         # break r + t = 1; the dense operator is assembled from both
         # coefficients, so its unitarity check must catch this
@@ -403,8 +420,7 @@ class TestVerifyCommand:
                 ("fixed-point", core, "apply_step",
                  lambda step: lambda state, config: step(state, config) + 1e-9, "at N=3, K=0"),
                 ("projection-consistency", reduced, "reduced_operator",
-                 lambda build: lambda n, k, phase: dataclasses.replace(
-                     build(n, k, phase), matrix=build(n, k, phase).matrix + 1e-9),
+                 lambda build: lambda n, k, phase: build(n, k, phase) + 1e-9,
                  "at N=4, K=2, phi=0"),
                 ("subspace-closure", reduced, "project",
                  lambda project: lambda state, config: (project(state, config)[0], 1.0),

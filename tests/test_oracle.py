@@ -8,6 +8,7 @@ state, which is what justifies the factored representation used
 everywhere else.
 """
 
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestKickback:
 
     def test_oracle_shifts_basis_ancilla_mod_four(self):
         f = OracleFunction(n_vertices=5, marked_set=frozenset({0, 1}))
-        state = prepare_composite(5, (0, 1), ancilla=np.eye(4)[3])
+        state = dataclasses.replace(prepare_composite(5, (0, 1)), ancilla=np.eye(4)[3])
         state = apply_oracle(copy_endpoints(state), f)
         assert np.array_equal(state.ancilla, np.eye(4)[0])  # 3 + 1 mod 4
 

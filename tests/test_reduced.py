@@ -6,7 +6,6 @@ import pytest
 from scatterwalk import core, reduced
 from scatterwalk.core import WalkConfig
 from scatterwalk.reduced import (
-    ReducedOperator,
     asymptotic_amplitudes,
     embed,
     evolve_reduced,
@@ -45,7 +44,7 @@ def config(n, k, phase=np.pi / 2):
 
 class TestReducedOperator:
     def test_entries_n4_k2_phase0(self):
-        m = reduced_operator(4, 2, 0.0).matrix
+        m = reduced_operator(4, 2, 0.0)
         s = (2 / 3) * np.sqrt(2)
         expected = np.array([
             [0, 1 / 3, s, 0],
@@ -58,7 +57,7 @@ class TestReducedOperator:
 
     def test_marked_diagonal_n4_k2_halfpi(self):
         # [t(K-2) - r] e^{2 i phi} = (-1/3)(-1) = +1/3 at phase pi/2
-        m = reduced_operator(4, 2, np.pi / 2).matrix
+        m = reduced_operator(4, 2, np.pi / 2)
         assert m[3, 3] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_unitary_across_grid(self):
@@ -66,7 +65,7 @@ class TestReducedOperator:
         for n in range(4, 61):
             for k in range(2, n - 1):
                 for phase in (0.0, np.pi / 4, np.pi / 2, np.pi):
-                    m = reduced_operator(n, k, phase).matrix
+                    m = reduced_operator(n, k, phase)
                     assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
 
     @pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (6, 5), (6, 6), (3, 2)])
@@ -77,7 +76,7 @@ class TestReducedOperator:
     @pytest.mark.parametrize("n", [9 * 10**18, 10**21, 10**150])
     def test_unitary_past_int64(self, n):
         # class-size products such as K(N-K-1) pass int64 here
-        m = reduced_operator(n, 3, np.pi / 2).matrix
+        m = reduced_operator(n, 3, np.pi / 2)
         assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
 
     @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
@@ -97,7 +96,7 @@ class TestReducedOperator:
                 basis = naive_class_basis(n, range(k))
                 dense = naive_dense_operator(n, range(k), phase)
                 projected = basis.conj().T @ dense @ basis
-                got = reduced_operator(n, k, phase).matrix
+                got = reduced_operator(n, k, phase)
                 assert np.abs(projected - got).max() < 1e-12
 
 
@@ -175,42 +174,43 @@ class TestProjectEmbed:
 
 class TestSpectral:
     def test_identity_operator(self):
-        op = ReducedOperator(matrix=np.eye(4, dtype=complex), n_vertices=10, k_marked=2, phase=0.0)
-        spec = spectral_decompose(op)
-        np.testing.assert_allclose(spec.eigenvalues, 1.0, atol=1e-12)
-        np.testing.assert_allclose(
-            spec.eigenvectors.conj().T @ spec.eigenvectors, np.eye(4), atol=1e-12
-        )
+        eigenvalues, vecs = spectral_decompose(np.eye(4))
+        np.testing.assert_allclose(eigenvalues, 1.0, atol=1e-12)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(4), atol=1e-12)
 
     def test_trace_identity(self):
         op = reduced_operator(4, 2, np.pi / 2)
-        spec = spectral_decompose(op)
-        assert spec.eigenvalues.sum() == pytest.approx(np.trace(op.matrix), abs=1e-10)
+        eigenvalues, _ = spectral_decompose(op)
+        assert eigenvalues.sum() == pytest.approx(np.trace(op), abs=1e-10)
 
     def test_unit_modulus_and_orthonormality(self):
         for n, k, phase in (
             (5, 2, 0.3), (20, 4, np.pi / 2), (40, 2, np.pi),
             (12, 5, 0.0), (12, 5, 2 * np.pi), (10**9, 2, np.pi / 2),
         ):
-            spec = spectral_decompose(reduced_operator(n, k, phase))
-            np.testing.assert_allclose(np.abs(spec.eigenvalues), 1.0, atol=1e-10)
-            gram = spec.eigenvectors.conj().T @ spec.eigenvectors
+            eigenvalues, vecs = spectral_decompose(reduced_operator(n, k, phase))
+            np.testing.assert_allclose(np.abs(eigenvalues), 1.0, atol=1e-10)
+            gram = vecs.conj().T @ vecs
             np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
     def test_rejects_non_unitary(self):
-        op = ReducedOperator(
-            matrix=np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex),
-            n_vertices=10, k_marked=2, phase=0.0,
-        )
         with pytest.raises(ValueError, match="not unitary"):
+            spectral_decompose(np.diag([1.0, 1.0, 1.0, 0.5]))
+
+    def test_rejects_operator_of_wrong_shape(self):
+        # no type stands in front of the eigensolver, so the shape is checked
+        op = np.eye(3, dtype=complex)
+        with pytest.raises(ValueError, match=r"shape \(4, 4\), got \(3, 3\)"):
             spectral_decompose(op)
+        with pytest.raises(ValueError, match=r"shape \(4, 4\), got \(3, 3\)"):
+            evolve_reduced(reduced_initial_state(6, 2), op, 5)
 
     def test_spectral_evolution_matches_power_iteration(self):
         op = reduced_operator(4, 2, np.pi / 2)
         comps = reduced_initial_state(4, 2)
         by_power = comps.copy()
         for _ in range(50):
-            by_power = op.matrix @ by_power
+            by_power = op @ by_power
         np.testing.assert_allclose(evolve_reduced(comps, op, 50), by_power, atol=1e-10)
 
 
@@ -250,7 +250,7 @@ class TestEvolveReduced:
         op = reduced_operator(9, 3, np.pi / 2)
         comps = reduced_initial_state(9, 3)
         np.testing.assert_allclose(evolve_reduced(comps, op, 0), comps, atol=1e-13)
-        np.testing.assert_allclose(evolve_reduced(comps, op, 1), op.matrix @ comps, atol=1e-13)
+        np.testing.assert_allclose(evolve_reduced(comps, op, 1), op @ comps, atol=1e-13)
 
     def test_matches_full_engine_for_200_steps(self):
         cfg = config(30, 3)
@@ -334,7 +334,7 @@ class TestOptimalSteps:
     def test_scan_agrees_with_formula(self):
         formula = optimal_steps(101, 2)
         scanned = scan_optimal_steps(
-            reduced_operator(101, 2, np.pi / 2).matrix, reduced_initial_state(101, 2), 2 * formula
+            reduced_operator(101, 2, np.pi / 2), reduced_initial_state(101, 2), 2 * formula
         )
         assert formula == SCAN_N101["formula"]
         assert scanned == SCAN_N101["argmax"]
