@@ -133,7 +133,10 @@ def _memory_guard(need: int, what: str, purpose: str) -> None:
 
 
 def _grid_bytes(n: int) -> int:
-    return 2 * n * n * 16  # state and step output
+    # two grids: `walk run --engine full|oracle --n 3000` peaks at 168 MiB, one
+    # 137 MiB grid over the interpreter's 30, and the full-engine Monte Carlo
+    # at 328 MiB, holding the grid and its packed copy at once
+    return 2 * n * n * 16
 
 
 def _grid_guard(n: int) -> None:
@@ -184,20 +187,22 @@ def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, l
 
 
 def _step_table_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[dict, int]:
-    """Step records of one grid stepped in place, each read by one `reduced.observe`."""
-    grid = core.to_grid(core.initial_state(config.n_vertices), config.n_vertices)
-    marked = core.marked_vertices(config.marked_set)
+    """Step records of one grid stepped in place, each step reading the
+    record of the grid it steps; the last grid is read by `reduced.observe`."""
+    grid = core.initial_grid(config.n_vertices)
     ledger = QueryLedger()
     f = OracleFunction(n_vertices=config.n_vertices, marked_set=config.marked_set)
     comps = np.empty((steps + 1, 4), dtype=np.complex128)
     residual, p_marked, norm = np.empty((3, steps + 1))
-    for i in range(steps + 1):
-        comps[i], residual[i], p_marked[i], norm[i] = reduced.observe(grid, marked)
-        if i < steps:
-            if use_oracle:
-                grid = oracle.oracle_step(grid, f, ledger, out=grid)
-            else:
-                grid = core.apply_step(grid, config, out=grid)
+    for i in range(steps):
+        if use_oracle:
+            grid, record = oracle.oracle_step(grid, f, ledger, out=grid,
+                                              reader=reduced.read_strips)
+        else:
+            grid, record = core.apply_step(grid, config, out=grid, reader=reduced.read_strips)
+        comps[i], residual[i], p_marked[i], norm[i] = record
+    record = reduced.observe(grid, core.marked_vertices(config.marked_set))
+    comps[steps], residual[steps], p_marked[steps], norm[steps] = record
     return _step_table(np.abs(comps) ** 2, p_marked, residual, norm), ledger.quantum_calls
 
 

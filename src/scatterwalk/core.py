@@ -25,13 +25,21 @@ returns the free view out.  The marked phase is a diagonal sandwich
 e^{2i*phi} on reflection back into a marked edge and e^{i*phi} on entry
 or exit), applied as a K x K block product on the marked rows and
 columns with colsum corrected on the marked columns; then the diagonal
-is re-zeroed.
+is re-zeroed.  The validated steps read finiteness from colsum: a
+non-finite amplitude makes its column sum non-finite, and only then is
+the grid checked entry by entry, before anything is written.
+
+A step can also be observed in the pass that makes it: it then reads the
+grid in strips of `strip_rows(N)` memory rows and hands each one, just
+before it is written over, to a reader (`reduced.read_strips`), with the
+column sums it has taken.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,8 +56,10 @@ __all__ = [
     "to_grid",
     "to_packed",
     "initial_state",
+    "initial_grid",
     "check_steps",
     "marked_vertices",
+    "strip_rows",
     "step_grid",
     "apply_step",
     "evolve",
@@ -139,11 +149,12 @@ def _offdiag_mask(n_vertices: int) -> np.ndarray:
     return mask
 
 
-def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
+def to_grid(state: np.ndarray, n_vertices: int, check_finite: bool = True) -> np.ndarray:
     """Validated N x N grid A[m, l] = amplitude(m -> l) of a state in either layout.
 
     A packed vector is unpacked into a fresh grid; a grid (zero diagonal)
-    is returned as given, not copied.
+    is returned as given, not copied.  With check_finite=False the
+    amplitudes are left for the caller to check, as the validated steps do.
     """
     state = np.asarray(state, dtype=np.complex128)
     n, dim = n_vertices, n_edge_states(n_vertices)
@@ -151,14 +162,19 @@ def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
         raise ValueError(f"state has shape {state.shape}, expected ({dim},) or ({n}, {n})")
     if state.ndim == 2 and state.diagonal().any():
         raise ValueError("grid state has a nonzero diagonal; no edge (m, m) exists")
-    # read as float64 pairs, which halves the time of a complex isfinite
-    if not np.isfinite(state.ravel(order="K").view(np.float64)).all():
-        raise ValueError("state contains non-finite amplitudes")
+    if check_finite:
+        _check_finite(state)
     if state.ndim == 2:
         return state
     grid = np.zeros((n, n), dtype=np.complex128)
     grid[_offdiag_mask(n)] = state
     return grid
+
+
+def _check_finite(state: np.ndarray) -> None:
+    # read as float64 pairs, which halves the time of a complex isfinite
+    if not np.isfinite(state.ravel(order="K").view(np.float64)).all():
+        raise ValueError("state contains non-finite amplitudes")
 
 
 def to_packed(grid: np.ndarray) -> np.ndarray:
@@ -174,6 +190,16 @@ def initial_state(n_vertices: int) -> np.ndarray:
     return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
 
 
+def initial_grid(n_vertices: int) -> np.ndarray:
+    """`initial_state` built directly as an N x N grid, with no packed copy."""
+    if n_vertices < 3:
+        raise ValueError(f"need n_vertices >= 3, got {n_vertices}")
+    grid = np.full((n_vertices, n_vertices), 1.0 / np.sqrt(n_edge_states(n_vertices)),
+                   dtype=np.complex128)
+    np.fill_diagonal(grid, 0.0)
+    return grid
+
+
 def check_steps(steps) -> int:
     """`steps` as an int; rejects bools, NaN, infinities, fractions and negatives."""
     if (isinstance(steps, (bool, np.bool_)) or steps != steps or abs(steps) == math.inf
@@ -187,47 +213,93 @@ def marked_vertices(marked_set) -> np.ndarray:
     return np.array(sorted(marked_set), dtype=np.intp)
 
 
+def strip_rows(n_vertices: int) -> int:
+    """Rows per strip of an observed step: 512 KiB of grid, 32 rows at N=1000
+    and 109 at N=300, so a strip stays in L2 while it is read and written."""
+    return max(1, 2**19 // (16 * n_vertices))
+
+
 def step_grid(
-    grid: np.ndarray, marked: np.ndarray, factor: complex = 1.0, out: np.ndarray | None = None
-) -> np.ndarray:
+    grid: np.ndarray, marked: np.ndarray, factor: complex = 1.0, out: np.ndarray | None = None,
+    *, check_finite: bool = False, reader=None,
+):
     """One walk step on an N x N grid: the kernel behind every full-state path.
 
     `marked` is a sorted marked-vertex array, `factor` the phase on edges
     inside it.  Writes out^T into `out` (default: a fresh array laid out
     like `grid`; passing `grid` steps in place) and returns the view out.
-    `grid` is not validated, copied or, unless it is `out`, modified.
+    `grid` is not copied or, unless it is `out`, modified; with
+    check_finite it is refused, before anything is written, if an
+    amplitude is not finite.
+
+    With a `reader`, `grid` is read in the pass that steps it, and the step
+    returns (out, reader(grid, colsum, marked, transposed, strips)): colsum
+    is grid.sum(axis=0), and `strips` yields (start, rows), the grid's rows
+    start..stop (its columns when `transposed`) in strips of
+    `strip_rows(N)`, each just before out is written over it.
     """
-    t = coefficients(grid.shape[0]).t
+    n, k = grid.shape[0], len(marked)
     colsum = grid.sum(axis=0)
-    shift = len(marked) >= 2 and factor != 1.0
+    # a non-finite amplitude makes its column sum, and so their total, non-finite
+    if check_finite and not cmath.isfinite(complex(colsum.sum())):
+        _check_finite(grid)  # finite amplitudes whose sum overflows pass
+    shift = k >= 2 and factor != 1.0
+    scaled = colsum.copy()
     if shift:
-        block = (marked[:, None], marked)
-        inner = grid[block]
-        colsum[marked] += (factor - 1.0) * inner.sum(axis=0)
-    colsum *= t
+        inner = grid[marked[:, None], marked]
+        scaled[marked] += (factor - 1.0) * inner.sum(axis=0)
+    scaled *= coefficients(n).t
+    if shift:
+        fixed = factor * scaled[marked] - factor * factor * inner  # out's marked block
     if out is None:
         out = np.empty_like(grid)
-    np.subtract(colsum, grid, out=out)
-    if shift:
-        out[block] = factor * colsum[marked] - factor * factor * inner
-    np.fill_diagonal(out, 0.0)
-    return out.T
+    elif out is not grid and np.may_share_memory(out, grid):
+        grid = grid.copy()
+    # strips run along out's memory rows: its rows when it is row-major, else
+    # its columns, where colsum runs down each strip instead of along it
+    flip = not out.flags.c_contiguous
+    rows, source = (out.T, grid.T) if flip else (out, grid)
+    if shift and flip:
+        fixed = fixed.T
+    height = n if reader is None else strip_rows(n)
+    diag, vertices = np.arange(n), marked.tolist()
+
+    def strips():
+        for start in range(0, n, height):
+            stop = start + height
+            old = source[start:stop]
+            yield start, old
+            strip = rows[start:stop]
+            np.subtract(scaled[start:stop, None] if flip else scaled, old, out=strip)
+            lo, hi = bisect_left(vertices, start), bisect_left(vertices, stop)
+            if shift and hi > lo:
+                rows[marked[lo:hi, None], marked] = fixed[lo:hi]
+            strip[diag[:len(strip)], diag[start:stop]] = 0.0
+
+    passes = strips()
+    record = None if reader is None else reader(grid, colsum, marked, flip, passes)
+    for _ in passes:  # steps what the reader left unread
+        pass
+    return out.T if reader is None else (out.T, record)
 
 
 def apply_step(
-    state: np.ndarray, config: WalkConfig, out: np.ndarray | None = None
-) -> np.ndarray:
+    state: np.ndarray, config: WalkConfig, out: np.ndarray | None = None, reader=None
+):
     """One walk step, marked phases included; returns the input's layout.
 
     A grid result is written into `out` if given (`out=state` steps a grid
     in place, as `oracle.oracle_step` does); otherwise, and for a packed
-    state, the input is left unmodified.
+    state, the input is left unmodified.  With a `reader` (see `step_grid`)
+    it returns (result, record).
     """
-    grid = to_grid(state, config.n_vertices)
+    grid = to_grid(state, config.n_vertices, check_finite=False)
     packed = np.ndim(state) == 1
-    out = step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
-                    out=grid if packed else out)
-    return to_packed(out) if packed else out
+    result = step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
+                       out=grid if packed else out, check_finite=True, reader=reader)
+    if not packed:
+        return result
+    return (to_packed(result[0]), result[1]) if reader else to_packed(result)
 
 
 def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:

@@ -162,23 +162,29 @@ def conjugated_oracle(edge_state_index: int, f: OracleFunction) -> complex:
 
 
 def oracle_step(
-    state: np.ndarray, f: OracleFunction, ledger: QueryLedger, out: np.ndarray | None = None
-) -> np.ndarray:
+    state: np.ndarray, f: OracleFunction, ledger: QueryLedger, out: np.ndarray | None = None,
+    reader=None,
+):
     """One walk step driven by the oracle: kickback, scatter, kickback.
 
     Takes and returns either state layout; a grid result is written into
-    `out` if given (`out=state` steps a grid in place).  Spends exactly two
-    oracle calls, recorded on the ledger whether or not any edge is marked.
-    The marked-edge phase is the oracle's own kickback e^{i pi f/2}, so the
-    step equals the phase-pi/2 walk step without being built from it.
+    `out` if given (`out=state` steps a grid in place), and with a
+    `reader` (see `core.step_grid`) it returns (result, record).  Spends
+    exactly two oracle calls, recorded on the ledger whether or not any
+    edge is marked.  The marked-edge phase is the oracle's own kickback
+    e^{i pi f/2}, so the step equals the phase-pi/2 walk step without being
+    built from it.
     """
-    grid = core.to_grid(state, f.n_vertices)
+    grid = core.to_grid(state, f.n_vertices, check_finite=False)
     packed = np.ndim(state) == 1
     marked = core.marked_vertices(f.marked_set)
     kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
-    out = core.step_grid(grid, marked, kickback, out=grid if packed else out)
+    result = core.step_grid(grid, marked, kickback, out=grid if packed else out,
+                            check_finite=True, reader=reader)
     ledger.quantum_calls += 2
-    return core.to_packed(out) if packed else out
+    if not packed:
+        return result
+    return (core.to_packed(result[0]), result[1]) if reader else core.to_packed(result)
 
 
 def classical_query_baseline(n_vertices: int, k_marked: int) -> float:

@@ -22,10 +22,12 @@ an (eigenvalues, eigenvectors) pair, `evolve_reduced` and
 
 `observe` reads one full-state grid into what a step record shows: the
 class amplitudes, the norm of the component outside the subspace, the
-marked-edge probability and the norm.  It takes the grid's marked rows,
-columns and block once and sweeps the rest in strips of rows along the
-grid's memory order, so no leftover grid is built; `project` is the
-validated entry point to it.
+marked-edge probability and the norm.  `read_strips` does the reading, in
+strips along the grid's memory rows, so no leftover grid is built;
+`observe` hands it the strips of a grid at rest, and
+`core.step_grid(..., reader=read_strips)` those of the grid it steps, each
+just before writing over it.  `project` is the validated entry point to
+`observe`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "reduced_operator",
     "reduced_initial_state",
     "observe",
+    "read_strips",
     "project",
     "embed",
     "spectral_decompose",
@@ -56,10 +59,6 @@ __all__ = [
 
 #: warn about the closed-form asymptotics beyond this value of sqrt(x)
 ASYMPTOTIC_QUALITY_THRESHOLD = 0.2
-
-#: rows per strip of `observe`: 32 rows at N=1000 are 512 KB, inside L2
-STRIP_ROWS = 32
-
 
 def _check_range(n_vertices: int, k_marked: int) -> None:
     if n_vertices < 4:
@@ -120,53 +119,71 @@ def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
 def observe(grid: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """(c1..c4, residual, p_marked, norm) of an N x N grid, without validating it.
 
-    `marked` is the sorted marked-vertex array, with 2 <= K <= N-2.  Class
-    sums come from the grid's marked rows, columns and K x K block, and
-    p_marked from that block.  The residual, the norm of the component
-    outside the subspace, and the norm are float64 dots summed over strips
-    of at most STRIP_ROWS rows along the grid's memory order, so no N x N
-    leftover is built.  The residual stays at rounding level for any state
-    reachable from the uniform start.
+    `marked` is the sorted marked-vertex array, with 2 <= K <= N-2.  The
+    grid is read by `read_strips` along its memory rows, so the record is
+    the one a step with that reader gives of the grid it steps.
+    """
+    transposed = not grid.flags.c_contiguous
+    rows = grid.T if transposed else grid
+    height = core.strip_rows(len(rows))
+    strips = ((start, rows[start:start + height]) for start in range(0, len(rows), height))
+    return read_strips(grid, grid.sum(axis=0), marked, transposed, strips)
+
+
+def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transposed: bool,
+                strips) -> tuple[np.ndarray, float, float, float]:
+    """(c1..c4, residual, p_marked, norm) of an N x N grid, read strip by strip.
+
+    `colsum` is grid.sum(axis=0); `strips` yields every (start, rows) in
+    order, rows being the grid's rows start..stop, or its columns when
+    `transposed`.  Each strip is centred on the class means of colsum,
+    giving its squared distance from them (a norm of per-entry
+    differences, not a difference of squared norms, which would bottom out
+    near sqrt(eps)) and the sum of what is left, which keeps the digits of
+    the total that colsum, adding N rows one by one, loses.  The
+    parallel-axis term n_c |mu_c - centre_c|^2 then moves the distance
+    onto the class means; the squared norm is its square plus sum |c_i|^2.
     """
     n, k = grid.shape[0], len(marked)
-    block = (marked[:, None], marked)
-    inner = grid[block]
-    s4 = inner.sum()
-    s1 = grid[:, marked].sum() - s4  # unmarked source -> marked target
-    s2 = grid[marked, :].sum() - s4  # marked source -> unmarked target
-    sums = np.array([s1, s2, grid.sum() - s1 - s2 - s4, s4])
-    sizes = np.array([k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1)])
-    means = sums / sizes
-    # strips run along memory rows: the rows of the grid, or its columns
-    # when it is a transposed view, which swaps the means of w1 and w2; any
-    # other strided grid is copied once, as the float64 dots need rows
-    if grid.flags.f_contiguous and not grid.flags.c_contiguous:
-        rows, row_mean, col_mean = grid.T, means[0], means[1]
-    else:
-        rows, row_mean, col_mean = np.ascontiguousarray(grid), means[1], means[0]
-    work = np.empty((min(STRIP_ROWS, n), n), dtype=np.complex128)
-    leftover_sq = norm_sq = 0.0
+    inner = grid[marked[:, None], marked]
+    p_marked = float((np.abs(inner) ** 2).sum())
+    s4 = complex(inner.sum())
+    s1 = complex(grid[:, marked].sum()) - s4  # unmarked source -> marked target
+    s2 = complex(grid[marked].sum()) - s4  # marked source -> unmarked target
+    sizes = (k * (n - k), k * (n - k), (n - k) * (n - k - 1), k * (k - 1))
+    centres = [s / size for s, size in zip(
+        (s1, s2, complex(colsum.sum()) - s1 - s2 - s4, s4), sizes)]
+    # strip rows are the grid's targets when transposed, else its sources
+    row_class, column_centre = (0, centres[1]) if transposed else (1, centres[0])
+    row_centre = np.full(n, centres[row_class])  # by column, on marked rows
+    row_centre[marked] = centres[3]
+    work = np.empty((min(core.strip_rows(n), n), n), dtype=np.complex128)
+    # one dot per row: below N = 5000 each is too short for OpenBLAS to wake
+    # its threads, which would then spin through the rest of the pass
+    pairs = work.view(np.float64)
+    row_vectors, column_vectors = pairs[:, None, :], pairs[:, :, None]
+    leftover_sq, left_sum = 0.0, 0.0
     vertices = marked.tolist()
-    for start in range(0, n, STRIP_ROWS):
-        strip = rows[start:start + STRIP_ROWS]
-        left = work[:len(strip)]
-        # norm of the leftover component, not a difference of squared norms,
-        # which would bottom out near sqrt(eps)
-        np.subtract(strip, means[2], out=left)
-        left[:, marked] = strip[:, marked] - col_mean
-        lo, hi = bisect_left(vertices, start), bisect_left(vertices, start + len(strip))
+    for start, strip in strips:
+        h = len(strip)
+        left = work[:h]
+        np.subtract(strip, centres[2], out=left)
+        left[:, marked] = strip[:, marked] - column_centre
+        lo, hi = bisect_left(vertices, start), bisect_left(vertices, start + h)
         if hi > lo:
             local = marked[lo:hi] - start
-            left[local] = strip[local] - row_mean
-            left[local[:, None], marked] = strip[local[:, None], marked] - means[3]
-        flat = left.reshape(-1)
-        flat[start::n + 1] = 0.0  # the diagonal (m, m) is no edge
-        flat = flat.view(np.float64)
-        leftover_sq += flat @ flat
-        flat = strip.reshape(-1).view(np.float64)
-        norm_sq += flat @ flat
-    p_marked = float(np.sum(np.abs(inner) ** 2))
-    return sums / np.sqrt(sizes), math.sqrt(leftover_sq), p_marked, math.sqrt(norm_sq)
+            left[local] = strip[local] - row_centre
+        left.reshape(-1)[start::n + 1] = 0.0  # the diagonal (m, m) is no edge
+        leftover_sq += float(np.matmul(row_vectors[:h], column_vectors[:h]).sum())
+        left_sum += left.sum()
+    total = complex(left_sum) + sum(size * centre for size, centre in zip(sizes, centres))
+    sums = (s1, s2, total - s1 - s2 - s4, s4)
+    leftover_sq -= sum(size * abs(s / size - centre) ** 2
+                       for s, size, centre in zip(sums, sizes, centres))
+    leftover_sq = max(leftover_sq, 0.0)
+    comps = [s / math.sqrt(size) for s, size in zip(sums, sizes)]
+    norm_sq = leftover_sq + sum(c.real ** 2 + c.imag ** 2 for c in comps)
+    return np.array(comps), math.sqrt(leftover_sq), p_marked, math.sqrt(norm_sq)
 
 
 def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:

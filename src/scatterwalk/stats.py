@@ -124,7 +124,7 @@ def _search_state(config: WalkConfig, ledger: QueryLedger) -> tuple[np.ndarray, 
     n, k = config.n_vertices, config.k_marked
     n_opt = reduced.optimal_steps(n, k)
     f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
-    grid = core.to_grid(core.initial_state(n), n)
+    grid = core.initial_grid(n)
     for _ in range(n_opt):
         grid = oracle.oracle_step(grid, f, ledger, out=grid)
     return core.to_packed(grid), n_opt

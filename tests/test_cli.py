@@ -185,6 +185,7 @@ class TestRunCommand:
             raise AssertionError("a full state was allocated")
 
         monkeypatch.setattr(core, "initial_state", refuse)
+        monkeypatch.setattr(core, "initial_grid", refuse)
         monkeypatch.setattr(core, "to_grid", refuse)
         assert run_cli(*argv) == 2
         assert "physical memory" in capsys.readouterr().err
@@ -232,6 +233,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(reduced, "component_series", refuse)
         monkeypatch.setattr(core, "to_grid", refuse)
+        monkeypatch.setattr(core, "initial_grid", refuse)
         monkeypatch.setattr(stats, "coverage_distribution", refuse)
         monkeypatch.setattr(stats, "_search_state", refuse)
         assert run_cli(*argv) == 2

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from scatterwalk import core
+from scatterwalk import core, oracle, reduced
 from scatterwalk.core import WalkConfig
+from scatterwalk.oracle import OracleFunction, QueryLedger
 
 from helpers import (
     edge_endpoint_arrays,
+    grid_of,
     naive_dense_operator,
     operator_of,
     random_state,
@@ -78,6 +80,14 @@ class TestInitialState:
     def test_rejects_small_graphs(self):
         with pytest.raises(ValueError):
             core.initial_state(2)
+        with pytest.raises(ValueError):
+            core.initial_grid(2)
+
+    @pytest.mark.parametrize("n", [3, 8, 300])
+    def test_initial_grid_is_the_unpacked_initial_state(self, n):
+        grid = core.initial_grid(n)
+        assert grid.flags.c_contiguous
+        assert grid.tobytes() == core.to_grid(core.initial_state(n), n).tobytes()
 
 
 class TestApplyStep:
@@ -152,6 +162,79 @@ class TestApplyStep:
         state[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             core.apply_step(state, config(5))
+
+
+#: the two validated steps, at N=7 with vertices 0, 1, 2 marked and phase pi/2
+VALIDATED_STEPS = {
+    "apply_step": lambda state, **kw: core.apply_step(state, config(7, 3, np.pi / 2), **kw),
+    "oracle_step": lambda state, **kw: oracle.oracle_step(
+        state, OracleFunction(7, frozenset(range(3))), QueryLedger(), **kw),
+}
+
+
+def laid_out(state, layout):
+    """A packed state as itself, as a row-major grid or as a transposed view."""
+    if layout == "packed":
+        return state
+    grid = grid_of(state, 7)
+    return grid if layout == "grid" else grid.T.copy().T
+
+
+class TestValidatedSteps:
+    """apply_step and oracle_step refuse bad input before writing anything."""
+
+    @pytest.mark.parametrize("step", VALIDATED_STEPS)
+    @pytest.mark.parametrize("layout", ["packed", "grid", "transposed"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.5, np.inf)])
+    @pytest.mark.parametrize("edge", [(1, 2), (5, 3)])  # inside the marked block, or off it
+    @pytest.mark.parametrize("target", ["fresh", "in place", "observed"])
+    def test_non_finite_amplitudes_are_refused_and_nothing_is_written(
+        self, step, layout, bad, edge, target
+    ):
+        state = random_state(np.random.default_rng(3), 42)
+        state[core.edge_index(7, *edge)] = bad
+        state = laid_out(state, layout)
+        before = state.copy()
+        kwargs = {"out": np.full((7, 7), 0.25 - 0.5j)}
+        if target == "in place" and layout != "packed":
+            kwargs["out"] = state
+        elif target == "observed":
+            kwargs["reader"] = reduced.read_strips
+        out_before = kwargs["out"].copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            VALIDATED_STEPS[step](state, **kwargs)
+        assert state.tobytes() == before.tobytes()
+        assert kwargs["out"].tobytes() == out_before.tobytes()
+
+    @pytest.mark.parametrize("step", VALIDATED_STEPS)
+    @pytest.mark.parametrize("layout", ["grid", "transposed"])
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_a_nonzero_diagonal_is_refused_and_nothing_is_written(self, step, layout, observed):
+        grid = laid_out(random_state(np.random.default_rng(4), 42), layout)
+        grid[3, 3] = 0.1
+        before = grid.copy()
+        kwargs = {"reader": reduced.read_strips} if observed else {}
+        with pytest.raises(ValueError, match="diagonal"):
+            VALIDATED_STEPS[step](grid, out=grid, **kwargs)
+        assert grid.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("step, factor", [("apply_step", np.exp(0.5j * np.pi)),
+                                              ("oracle_step", 1j)])
+    @pytest.mark.parametrize("layout", ["packed", "grid", "transposed"])
+    def test_finite_amplitudes_whose_column_sum_overflows_are_stepped(
+        self, step, factor, layout
+    ):
+        # two amplitudes near the float64 limit in one column: every amplitude
+        # is finite, so the step runs unchecked arithmetic, inf and nan included
+        state = random_state(np.random.default_rng(5), 42)
+        state[core.edge_index(7, 0, 4)] = state[core.edge_index(7, 5, 4)] = 1e308
+        state = laid_out(state, layout)
+        with np.errstate(all="ignore"):
+            expected = core.step_grid(core.to_grid(state, 7), np.arange(3), factor)
+            got = VALIDATED_STEPS[step](state)
+        assert not np.isfinite(expected).all()
+        np.testing.assert_array_equal(got, core.to_packed(expected) if layout == "packed"
+                                      else expected)
 
 
 class TestDenseCrossCheck:

@@ -2,9 +2,10 @@
 
 Random N <= 12, a randomly placed marked set of any size 0..N, a random
 phase and chains of 1-3 steps, so that both the row-major grid and the
-transposed view a step returns are fed back in.  The observation of a grid
-is checked on random states up to N = 70, with marked vertices placed at
-the edges of its row strips.
+transposed view a step returns are fed back in.  The observation of a grid,
+at rest and in the pass that steps it, is checked on random states up to N = 70,
+read in one strip, and at sizes read in two or three strips, with marked
+vertices placed at the edges of the strips.
 """
 
 import numpy as np
@@ -164,15 +165,25 @@ def test_relabelling_vertices_commutes_with_the_step(walk, random):
         assert np.abs(core.to_packed(moved) - relabel_state(state, n, perm)).max() < 1e-13
 
 
-#: strip boundaries of `reduced.observe` and the vertices on either side of them
-STRIP_EDGES = (0, 1, 30, 31, 32, 33, 63, 64, 65, 69)
+#: sizes read in two or more strips of `core.strip_rows(N)` rows
+MULTI_STRIP_SIZES = (182, 183, 200, 256, 300)
+
+
+def strip_edges(n):
+    """The first and last rows of every strip of an N x N grid, and their neighbours."""
+    height = core.strip_rows(n)
+    edges = {0, 1, n - 2, n - 1}
+    for start in range(height, n, height):
+        edges |= {start - 2, start - 1, start, start + 1}
+    return sorted(v for v in edges if 0 <= v < n)
 
 
 @st.composite
 def observations(draw):
-    """(N, marked vertices, state seed, layout) with N <= 70, marked near strip edges."""
-    n = draw(st.one_of(st.sampled_from((31, 32, 33, 64, 65)), st.integers(4, 70)))
-    near = [v for v in STRIP_EDGES + (n - 2, n - 1) if v < n]
+    """(N, marked vertices, state seed, layout), marked near strip edges; N <= 70 is
+    one strip, the sizes of MULTI_STRIP_SIZES two to three."""
+    n = draw(st.one_of(st.integers(4, 70), st.sampled_from(MULTI_STRIP_SIZES)))
+    near = strip_edges(n)
     marked = set(draw(st.lists(st.sampled_from(near), min_size=1, max_size=4)))
     marked |= set(draw(st.lists(st.integers(0, n - 1), max_size=4)))
     marked.add(min(set(range(n)) - marked, default=0))  # K >= 2; every vertex may be drawn
@@ -188,6 +199,8 @@ def observations(draw):
 @example((33, (31, 32), 3, "rows"))
 @example((70, (31, 32, 63, 64, 69), 4, "transposed"))
 @example((65, (0, 64), 5, "strided"))
+@example((256, (127, 128, 255), 6, "rows"))
+@example((300, (108, 109, 217, 218), 7, "transposed"))
 def test_observe_matches_the_naive_class_basis(case):
     n, marked, seed, layout = case
     state = random_state(np.random.default_rng(seed), n * (n - 1))
@@ -208,3 +221,51 @@ def test_observe_matches_the_naive_class_basis(case):
     # a random state lies mostly outside the subspace; at N = 4 that is only 8 of
     # 12 dimensions, and the residual can fall below 0.5 (0.49 at seed 51928)
     assert residual > (0.1 if n == 4 else 0.5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(observations(), st.sampled_from(("apply_step", "oracle_step")),
+       st.sampled_from((np.pi / 2, np.pi, 0.7)))
+@example((256, (127, 128, 255), 8, "rows"), "apply_step", np.pi / 2)
+@example((300, (108, 109, 217, 218), 9, "transposed"), "oracle_step", np.pi / 2)
+@example((183, (0, 180, 181, 182), 10, "transposed"), "apply_step", 0.7)
+def test_stepped_record_matches_observe_and_the_naive_class_basis(case, step, phase):
+    # a step with a reader reads the record of the grid it steps, in the pass
+    # that steps it: the record `observe` gives of that grid, and the step is
+    # the one taken without a reader
+    n, marked, seed, layout = case
+    if step == "oracle_step":
+        phase = np.pi / 2
+    config = WalkConfig(n, frozenset(marked), phase)
+    f = OracleFunction(n, config.marked_set)
+    steps = {"apply_step": lambda grid, **kw: core.apply_step(grid, config, **kw),
+             "oracle_step": lambda grid, **kw: oracle.oracle_step(grid, f, QueryLedger(), **kw)}
+    basis = naive_class_basis(n, marked)
+    rng = np.random.default_rng(seed)
+    # a random state, and one inside the subspace, where the residual is rounding
+    for state in (random_state(rng, n * (n - 1)), basis @ random_state(rng, 4)):
+        grid = grid_of(state, n)
+        if layout == "transposed":
+            grid = grid.T.copy().T
+        elif layout == "strided":
+            wide = np.zeros((n, 2 * n), dtype=complex)
+            wide[:, ::2] = grid
+            grid = wide[:, ::2]
+        before = grid.copy(order="K")
+        stepped, record = steps[step](grid, out=grid, reader=reduced.read_strips)
+        np.testing.assert_array_equal(stepped, steps[step](before))
+        comps, residual, p_marked, norm = record
+        observed = reduced.observe(before, np.array(marked))
+        if layout == "strided":
+            assert np.abs(comps - observed[0]).max() < 1e-15
+        else:
+            np.testing.assert_array_equal(comps, observed[0])
+        assert p_marked == observed[2]
+        assert abs(residual - observed[1]) < 1e-13
+        assert abs(norm - observed[3]) < 1e-13
+        expected = basis.conj().T @ state
+        assert np.abs(comps - expected).max() < 1e-12
+        assert abs(residual - np.linalg.norm(state - basis @ expected)) < 1e-12
+        assert abs(p_marked - np.sum(np.abs(state[basis[:, 3] != 0]) ** 2)) < 1e-12
+        assert abs(norm - np.linalg.norm(state)) < 1e-12
+    assert residual < 1e-13
