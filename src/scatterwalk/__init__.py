@@ -16,7 +16,7 @@ from .core import (
     edge_endpoints,
     edge_index,
     evolve,
-    initial_state,
+    initial_grid,
     marked_probability,
 )
 from .oracle import (
@@ -58,7 +58,7 @@ __all__ = [
     "coefficients",
     "edge_index",
     "edge_endpoints",
-    "initial_state",
+    "initial_grid",
     "apply_step",
     "evolve",
     "marked_probability",

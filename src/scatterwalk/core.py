@@ -7,14 +7,14 @@ transmission t to every other outgoing edge, t = 2/(N-1), r = 1 - t) and
 applies a phase e^{i*phi} whenever the walker enters or leaves an edge
 whose endpoints both belong to the marked vertex set.
 
-State layout.  Internally a state is an N x N complex grid, A[m, l] the
-amplitude of "traveling from m to l", with a zero diagonal.  Packed
-vectors exist only at the API boundary: the N(N-1) amplitudes in
-canonical order index(m, l) = m*(N-1) + (l if l < m else l - 1), i.e. the
-grid row-major without its diagonal.  Every public function taking a
-state accepts either layout, unpacks a packed one once on entry and
-returns (or reads) the layout it was given.  A returned grid may be a
-transposed view: indexing is unaffected, only the memory order alternates.
+State layout.  A state is an N x N complex grid, A[m, l] the amplitude
+of "traveling from m to l", with a zero diagonal; every function that
+steps or reads a state takes a grid only (`check_grid`).  A returned grid
+may be a transposed view: indexing is unaffected, only the memory order
+alternates.  Packed vectors, the N(N-1) amplitudes in canonical order
+index(m, l) = m*(N-1) + (l if l < m else l - 1), i.e. the grid row-major
+without its diagonal, remain only where the edge basis is the point:
+`to_grid`/`to_packed`, `marked_edge_indices` and `dense_step_operator`.
 
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
@@ -41,7 +41,6 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +54,7 @@ __all__ = [
     "n_edge_states",
     "to_grid",
     "to_packed",
-    "initial_state",
+    "check_grid",
     "initial_grid",
     "check_steps",
     "marked_vertices",
@@ -142,33 +141,38 @@ def edge_endpoints(n_vertices: int, index: int) -> tuple[int, int]:
     return source, target
 
 
-@lru_cache(maxsize=32)
-def _offdiag_mask(n_vertices: int) -> np.ndarray:
-    mask = ~np.eye(n_vertices, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def to_grid(state: np.ndarray, n_vertices: int, check_finite: bool = True) -> np.ndarray:
-    """Validated N x N grid A[m, l] = amplitude(m -> l) of a state in either layout.
-
-    A packed vector is unpacked into a fresh grid; a grid (zero diagonal)
-    is returned as given, not copied.  With check_finite=False the
-    amplitudes are left for the caller to check, as the validated steps do.
-    """
+def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Packed vector of N(N-1) amplitudes in canonical order -> a fresh N x N
+    grid A[m, l] = amplitude(m -> l); a non-finite amplitude is refused."""
     state = np.asarray(state, dtype=np.complex128)
     n, dim = n_vertices, n_edge_states(n_vertices)
-    if state.shape not in ((n, n), (dim,)):
-        raise ValueError(f"state has shape {state.shape}, expected ({dim},) or ({n}, {n})")
-    if state.ndim == 2 and state.diagonal().any():
+    if state.shape != (dim,):
+        raise ValueError(f"packed state has shape {state.shape}, expected ({dim},)")
+    _check_finite(state)
+    grid = np.zeros((n, n), dtype=np.complex128)
+    grid[~np.eye(n, dtype=bool)] = state
+    return grid
+
+
+def to_packed(grid: np.ndarray) -> np.ndarray:
+    """N x N grid (any memory layout) -> packed vector in canonical order."""
+    return grid[~np.eye(grid.shape[0], dtype=bool)]
+
+
+def check_grid(state: np.ndarray, n_vertices: int, check_finite: bool = True) -> np.ndarray:
+    """`state` as a validated N x N complex grid, returned as given, not copied.
+
+    Refuses other shapes, a packed vector included, and a nonzero diagonal;
+    check_finite=False leaves the amplitudes to the caller, as the steps do.
+    """
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (n_vertices,) * 2:
+        raise ValueError(f"state has shape {state.shape}, expected {(n_vertices,) * 2}")
+    if state.diagonal().any():
         raise ValueError("grid state has a nonzero diagonal; no edge (m, m) exists")
     if check_finite:
         _check_finite(state)
-    if state.ndim == 2:
-        return state
-    grid = np.zeros((n, n), dtype=np.complex128)
-    grid[_offdiag_mask(n)] = state
-    return grid
+    return state
 
 
 def _check_finite(state: np.ndarray) -> None:
@@ -177,21 +181,8 @@ def _check_finite(state: np.ndarray) -> None:
         raise ValueError("state contains non-finite amplitudes")
 
 
-def to_packed(grid: np.ndarray) -> np.ndarray:
-    """N x N grid (any memory layout) -> packed vector in canonical order."""
-    return grid[_offdiag_mask(grid.shape[0])]
-
-
-def initial_state(n_vertices: int) -> np.ndarray:
-    """Equal superposition of all N(N-1) directed edge states."""
-    if n_vertices < 3:
-        raise ValueError(f"need n_vertices >= 3, got {n_vertices}")
-    dim = n_edge_states(n_vertices)
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-
-
 def initial_grid(n_vertices: int) -> np.ndarray:
-    """`initial_state` built directly as an N x N grid, with no packed copy."""
+    """Equal superposition of all N(N-1) directed edge states, as an N x N grid."""
     if n_vertices < 3:
         raise ValueError(f"need n_vertices >= 3, got {n_vertices}")
     grid = np.full((n_vertices, n_vertices), 1.0 / np.sqrt(n_edge_states(n_vertices)),
@@ -286,32 +277,26 @@ def step_grid(
 def apply_step(
     state: np.ndarray, config: WalkConfig, out: np.ndarray | None = None, reader=None
 ):
-    """One walk step, marked phases included; returns the input's layout.
+    """One walk step, marked phases included, of an N x N grid.
 
-    A grid result is written into `out` if given (`out=state` steps a grid
-    in place, as `oracle.oracle_step` does); otherwise, and for a packed
-    state, the input is left unmodified.  With a `reader` (see `step_grid`)
-    it returns (result, record).
+    The result is written into `out` if given (`out=state` steps in place,
+    as `walk run` does) and otherwise into a fresh array; `state` is left
+    unmodified unless it is `out`.  With a `reader` (see `step_grid`) it
+    returns (result, record).
     """
-    grid = to_grid(state, config.n_vertices, check_finite=False)
-    packed = np.ndim(state) == 1
-    result = step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
-                       out=grid if packed else out, check_finite=True, reader=reader)
-    if not packed:
-        return result
-    return (to_packed(result[0]), result[1]) if reader else to_packed(result)
+    grid = check_grid(state, config.n_vertices, check_finite=False)
+    return step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
+                     out=out, check_finite=True, reader=reader)
 
 
 def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:
-    """`steps` walk steps on one grid, in place; returns the input's layout (a copy at 0)."""
+    """`steps` walk steps of an N x N grid, stepped in place in one copy of it."""
     steps = check_steps(steps)
-    packed = np.ndim(state) == 1
-    grid = to_grid(state, config.n_vertices)
-    grid = grid if packed else grid.copy()
+    grid = check_grid(state, config.n_vertices).copy()
     marked, factor = marked_vertices(config.marked_set), cmath.exp(1j * config.phase)
     for _ in range(steps):
         grid = step_grid(grid, marked, factor, out=grid)
-    return to_packed(grid) if packed else grid
+    return grid
 
 
 def marked_edge_indices(config: WalkConfig) -> np.ndarray:
@@ -323,8 +308,8 @@ def marked_edge_indices(config: WalkConfig) -> np.ndarray:
 
 
 def marked_probability(state: np.ndarray, config: WalkConfig) -> float:
-    """Probability of measuring the walker on an edge internal to the marked set."""
-    grid = to_grid(state, config.n_vertices)
+    """Probability of measuring the walker (a grid) on an edge inside the marked set."""
+    grid = check_grid(state, config.n_vertices)
     marked = marked_vertices(config.marked_set)
     return float(np.sum(np.abs(grid[marked[:, None], marked]) ** 2))
 

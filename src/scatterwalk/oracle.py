@@ -17,7 +17,8 @@ the expected queries of a classical pair scan.
 Composite states are kept in the factored form that actually occurs in
 the circuit (a basis edge, two vertex labels or blanks, a 4-amplitude
 ancilla); the full tensor product only ever needs to be materialized in
-verification suites.
+verification suites.  `oracle_step` steps an N x N grid only; a packed
+canonical index remains only as the name of a basis edge (`conjugated_oracle`).
 """
 
 from __future__ import annotations
@@ -165,26 +166,22 @@ def oracle_step(
     state: np.ndarray, f: OracleFunction, ledger: QueryLedger, out: np.ndarray | None = None,
     reader=None,
 ):
-    """One walk step driven by the oracle: kickback, scatter, kickback.
+    """One oracle-driven walk step of an N x N grid: kickback, scatter, kickback.
 
-    Takes and returns either state layout; a grid result is written into
-    `out` if given (`out=state` steps a grid in place), and with a
-    `reader` (see `core.step_grid`) it returns (result, record).  Spends
-    exactly two oracle calls, recorded on the ledger whether or not any
-    edge is marked.  The marked-edge phase is the oracle's own kickback
+    The result is written into `out` if given (`out=state` steps in place)
+    and otherwise into a fresh array, and with a `reader` (see
+    `core.step_grid`) it returns (result, record).  Spends exactly two
+    oracle calls, recorded on the ledger whether or not any edge is
+    marked.  The marked-edge phase is the oracle's own kickback
     e^{i pi f/2}, so the step equals the phase-pi/2 walk step without being
     built from it.
     """
-    grid = core.to_grid(state, f.n_vertices, check_finite=False)
-    packed = np.ndim(state) == 1
+    grid = core.check_grid(state, f.n_vertices, check_finite=False)
     marked = core.marked_vertices(f.marked_set)
     kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
-    result = core.step_grid(grid, marked, kickback, out=grid if packed else out,
-                            check_finite=True, reader=reader)
+    result = core.step_grid(grid, marked, kickback, out=out, check_finite=True, reader=reader)
     ledger.quantum_calls += 2
-    if not packed:
-        return result
-    return (core.to_packed(result[0]), result[1]) if reader else core.to_packed(result)
+    return result
 
 
 def classical_query_baseline(n_vertices: int, k_marked: int) -> float:

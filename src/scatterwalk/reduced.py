@@ -26,8 +26,9 @@ marked-edge probability and the norm.  `read_strips` does the reading, in
 strips along the grid's memory rows, so no leftover grid is built;
 `observe` hands it the strips of a grid at rest, and
 `core.step_grid(..., reader=read_strips)` those of the grid it steps, each
-just before writing over it.  `project` is the validated entry point to
-`observe`.
+just before writing over it.  `project` validates a grid for `observe`.
+`embed` alone returns a packed vector: a class-basis column for the dense
+step operator, which acts on the packed edge basis.
 """
 
 from __future__ import annotations
@@ -187,23 +188,28 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
 
 
 def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
-    """Overlaps (c1..c4) of a full state (either layout) with the class basis, plus residual.
+    """Overlaps (c1..c4) of an N x N grid with the class basis, plus residual.
 
-    Validates the state once and reads it with `observe`.  The residual,
+    Validates the grid once and reads it with `observe`.  The residual,
     the norm of the component outside the subspace, stays at rounding
     level for any state reachable from the uniform start.
     """
     _check_range(config.n_vertices, config.k_marked)
-    grid = core.to_grid(state, config.n_vertices)
+    grid = core.check_grid(state, config.n_vertices)
     comps, residual, _, _ = observe(grid, core.marked_vertices(config.marked_set))
     return comps, residual
 
 
+def _reduced_state(state: np.ndarray) -> np.ndarray:
+    state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (4,):
+        raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
+    return state
+
+
 def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
-    """Expand (c1..c4) into the full edge-state vector sum_i c_i w_i."""
-    reduced = np.asarray(reduced, dtype=np.complex128)
-    if reduced.shape != (4,):
-        raise ValueError(f"reduced state must have shape (4,), got {reduced.shape}")
+    """Expand (c1..c4) into the packed edge-state vector sum_i c_i w_i."""
+    reduced = _reduced_state(reduced)
     _check_range(config.n_vertices, config.k_marked)
     marked = core.marked_vertices(config.marked_set)
     label = np.full((config.n_vertices,) * 2, 2)  # class index - 1 of every edge (m, l)
@@ -255,10 +261,7 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
     Computed through the spectral decomposition, each eigenvalue's power
     taken as a phase, so the cost does not grow with the step count.
     """
-    steps = core.check_steps(steps)
-    state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (4,):
-        raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
+    steps, state = core.check_steps(steps), _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
     coeff = vecs.conj().T @ state
     return vecs @ (_spectral_powers(eigenvalues, steps) * coeff)
@@ -266,9 +269,10 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
 
 def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndarray:
     """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
-    the same spectral phases as `evolve_reduced`."""
+    the same spectral phases as `evolve_reduced`, and validated as it is."""
+    horizon, state = core.check_steps(horizon), _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
-    coeff = vecs.conj().T @ np.asarray(state, dtype=np.complex128)
+    coeff = vecs.conj().T @ state
     powers = _spectral_powers(eigenvalues, np.arange(horizon + 1))
     powers *= coeff
     return powers @ vecs.T

@@ -14,6 +14,8 @@ the state once per configuration and draws every measurement of it in
 one batch.  Both Monte Carlo engines hand their draws, as the runs that
 found a marked edge and the pair each found, to one count with no loop
 over runs, and the success rate is taken from those draws in one place.
+The walk steps an N x N grid; only the measured state is packed, as a
+measurement draws a canonical edge index (`sample_measurement`).
 """
 
 from __future__ import annotations

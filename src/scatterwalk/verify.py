@@ -54,6 +54,12 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return state / np.linalg.norm(state)
 
 
+def _packed_step(step, state: np.ndarray, n: int, *args) -> np.ndarray:
+    """step(grid, *args) of a packed state, unpacked and packed again: the suites keep
+    states packed, so a stepped grid's alternating memory order never moves their rounding."""
+    return core.to_packed(step(core.to_grid(state, n), *args))
+
+
 def _configs(n_values, k_values):
     for n in n_values:
         for k in k_values:
@@ -76,16 +82,18 @@ def check_unitarity(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """
     rng = np.random.default_rng(_SEED)
     for config in _configs((3, 5, 10, 30), (0, 2, 3)):
-        dim = core.n_edge_states(config.n_vertices)
+        n = config.n_vertices
         for _ in range(random_states):
-            err = abs(np.linalg.norm(core.apply_step(_random_state(rng, dim), config)) - 1.0)
+            state = _random_state(rng, core.n_edge_states(n))
+            err = abs(np.linalg.norm(_packed_step(core.apply_step, state, n, config)) - 1.0)
             yield err, 1e-12, f"norm error {err:.3e} at {_where(config)}"
     for config in _configs((4, 6, dense_max_n), (0, 2, 3)):
         dense = core.dense_step_operator(config)
         err = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
         yield err, 1e-12, f"dense U^dag U deviates by {err:.3e} at {_where(config)}"
         applied = np.column_stack(
-            [core.apply_step(col, config) for col in np.eye(dense.shape[0], dtype=complex).T]
+            [_packed_step(core.apply_step, col, config.n_vertices, config)
+             for col in np.eye(dense.shape[0], dtype=complex).T]
         )
         err = np.abs(applied - dense).max()
         yield err, 1e-13, f"matrix-free/dense mismatch {err:.3e} at {_where(config)}"
@@ -94,8 +102,8 @@ def check_unitarity(dense_max_n: int, random_states: int) -> Iterator[Case]:
 def check_fixed_point(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """The uniform state is invariant under the unmarked step, componentwise."""
     for n in (3, 5, 10, 50, 200):
-        state = core.initial_state(n)
-        err = np.abs(core.apply_step(state, WalkConfig(n_vertices=n)) - state).max()
+        grid = core.initial_grid(n)
+        err = np.abs(core.apply_step(grid, WalkConfig(n_vertices=n)) - grid).max()
         yield err, 1e-13, f"deviation {err:.3e} at N={n}, K=0"
 
 
@@ -115,10 +123,10 @@ def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterat
 def check_subspace_closure(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Evolution started from the uniform state never leaves the class span."""
     config = WalkConfig(n_vertices=30, marked_set=frozenset(range(3)), phase=np.pi / 2)
-    state = core.initial_state(30)
+    state = core.to_packed(core.initial_grid(30))
     for step in range(200):
-        state = core.apply_step(state, config)
-        _, residual = reduced.project(state, config)
+        state = _packed_step(core.apply_step, state, 30, config)
+        _, residual = reduced.project(core.to_grid(state, 30), config)
         yield (residual, 1e-10,
                f"residual {residual:.3e} after {step + 1} steps at N=30, K=3, phi=pi/2")
 
@@ -128,12 +136,13 @@ def check_full_reduced_equivalence(dense_max_n: int, random_states: int) -> Iter
     for n, k in ((12, 2), (30, 3)):
         config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=np.pi / 2)
         op = reduced.reduced_operator(n, k, np.pi / 2)
-        state = core.initial_state(n)
+        state = core.to_packed(core.initial_grid(n))
         comps = reduced.reduced_initial_state(n, k)
         for step in range(150):
-            state = core.apply_step(state, config)
+            state = _packed_step(core.apply_step, state, n, config)
             comps = op @ comps
-            err = abs(core.marked_probability(state, config) - abs(comps[3]) ** 2)
+            err = abs(core.marked_probability(core.to_grid(state, n), config)
+                      - abs(comps[3]) ** 2)
             yield err, 1e-10, f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}"
 
 
@@ -149,8 +158,10 @@ def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[
         ledger = QueryLedger()
         dim = core.n_edge_states(n)
         basis = np.eye(dim, dtype=complex)
-        walk_op = np.column_stack([core.apply_step(col, config) for col in basis.T])
-        circuit_op = np.column_stack([oracle.oracle_step(col, f, ledger) for col in basis.T])
+        walk_op = np.column_stack(
+            [_packed_step(core.apply_step, col, n, config) for col in basis.T])
+        circuit_op = np.column_stack(
+            [_packed_step(oracle.oracle_step, col, n, f, ledger) for col in basis.T])
         yield (abs(ledger.quantum_calls - 2 * dim), 0,
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         err = np.abs(walk_op - circuit_op).max()

@@ -170,6 +170,12 @@ def grid_of(state, n):
     return grid
 
 
+def packed_of(grid):
+    """N x N grid -> packed edge state, the inverse of grid_of."""
+    sources, targets = edge_endpoint_arrays(len(grid))
+    return np.asarray(grid)[sources, targets]
+
+
 def random_state(rng, dim):
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return state / np.linalg.norm(state)

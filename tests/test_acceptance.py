@@ -19,7 +19,7 @@ from scatterwalk.cli import main as cli_main
 from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 
-from helpers import operator_of, random_state, scan_optimal_steps
+from helpers import grid_of, operator_of, packed_of, random_state, scan_optimal_steps
 
 # pre-registered values from the pre-build reduced-model spectral oracle
 P_N1000_AT_555 = 0.9980032557010865        # marked probability, N=1000, K=2
@@ -49,11 +49,11 @@ def test_criterion_1_unitarity_and_fixed_point():
                 dim = core.n_edge_states(n)
                 states = rng.normal(size=(100, dim)) + 1j * rng.normal(size=(100, dim))
                 for state in states:
-                    out = core.apply_step(state / np.linalg.norm(state), config)
+                    out = core.apply_step(core.to_grid(state / np.linalg.norm(state), n), config)
                     worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
     worst_fixed = 0.0
     for n in (3, 5, 10, 50, 200):
-        state = core.initial_state(n)
+        state = core.initial_grid(n)
         out = core.apply_step(state, WalkConfig(n_vertices=n))
         worst_fixed = max(worst_fixed, np.abs(out - state).max())
     ok = worst_norm < 1e-12 and worst_fixed < 1e-13
@@ -74,7 +74,7 @@ def test_criterion_2_reduction_exactness():
                 err = np.abs(projected - reduced.reduced_operator(n, k, phase)).max()
                 worst_proj = max(worst_proj, err)
     config = cfg(30, 3, np.pi / 2)
-    state = core.initial_state(30)
+    state = core.initial_grid(30)
     worst_res = 0.0
     for _ in range(200):
         state = core.apply_step(state, config)
@@ -91,13 +91,14 @@ def test_criterion_3_three_way_equivalence():
     f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
     ledger = QueryLedger()
     dim = core.n_edge_states(n)
-    walk_op = operator_of(lambda c: core.apply_step(c, config), dim)
-    circuit_op = operator_of(lambda c: oracle.oracle_step(c, f, ledger), dim)
+    walk_op = operator_of(lambda c: packed_of(core.apply_step(grid_of(c, n), config)), dim)
+    circuit_op = operator_of(lambda c: packed_of(oracle.oracle_step(grid_of(c, n), f, ledger)),
+                             dim)
     op_err = np.abs(walk_op - circuit_op).max()
 
     op4 = reduced.reduced_operator(n, k, np.pi / 2)
     comps0 = reduced.reduced_initial_state(n, k)
-    state = core.initial_state(n)
+    state = core.initial_grid(n)
     p_err = 0.0
     for step in range(1, 101):
         state = core.apply_step(state, config)
@@ -194,7 +195,7 @@ def test_criterion_7_phase_dependence():
 def test_criterion_8_full_engine_scale():
     config = cfg(1000, 2, np.pi / 2)
     start = time.perf_counter()
-    state = core.evolve(core.initial_state(1000), config, 555)
+    state = core.evolve(core.initial_grid(1000), config, 555)
     elapsed = time.perf_counter() - start
     p_full = core.marked_probability(state, config)
     op = reduced.reduced_operator(1000, 2, np.pi / 2)

@@ -184,7 +184,6 @@ class TestRunCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a full state was allocated")
 
-        monkeypatch.setattr(core, "initial_state", refuse)
         monkeypatch.setattr(core, "initial_grid", refuse)
         monkeypatch.setattr(core, "to_grid", refuse)
         assert run_cli(*argv) == 2
@@ -296,7 +295,7 @@ class TestRunCommand:
         lines = capsys.readouterr().out.splitlines()
         rows = [[float(v) for v in line.split(",")] for line in lines[1:] if line[0] != "#"]
         config = WalkConfig(n, frozenset(marked), parse_phase(phase))
-        start = core.to_grid(core.initial_state(n), n)
+        start = core.initial_grid(n)
         # the oracle's kickback is exactly i, where the walk step uses
         # e^{i pi/2} = 6.1e-17 + i: its records equal oracle-driven grids and
         # agree with core.evolve to rounding
@@ -330,6 +329,22 @@ def csv_text(value):
 
 
 class TestWriterContract:
+    @pytest.mark.parametrize("engine, n, bounds", [
+        ("reduced", "100000", {"norm_error": 1e-14}),
+        ("full", "300", {"residual": 1e-12, "norm_error": 1e-12}),
+        ("oracle", "300", {"residual": 1e-12, "norm_error": 1e-12}),
+    ])
+    def test_json_step_records_keep_the_advertised_bounds(self, engine, n, bounds, tmp_path):
+        # the bounds the CI workflow asserts on the installed `walk`, at n_opt steps
+        out = tmp_path / "run.json"
+        assert run_cli("run", "--engine", engine, "--n", n, "--k", "2", "--format", "json",
+                       "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == reduced.optimal_steps(int(n), 2) + 1
+        assert all(0 <= row["p_marked"] <= 1 for row in rows)
+        for column, bound in bounds.items():
+            assert max(row[column] for row in rows) <= bound
+
     def test_reduced_norm_error_is_the_printed_weights_summed_left_to_right(self, tmp_path):
         out = tmp_path / "run.csv"
         assert run_cli("run", "--engine", "reduced", "--n", "200", "--k", "3",

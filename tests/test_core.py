@@ -12,6 +12,7 @@ from helpers import (
     grid_of,
     naive_dense_operator,
     operator_of,
+    packed_of,
     random_state,
     relabel_state,
 )
@@ -23,6 +24,11 @@ P_MARKED_N100_K2_NOPT = 0.980108582511343
 
 def config(n, k=0, phase=0.0):
     return WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phase)
+
+
+def packed_step(state, cfg):
+    """apply_step of a packed state, unpacked and packed again by the helpers."""
+    return packed_of(core.apply_step(grid_of(state, cfg.n_vertices), cfg))
 
 
 class TestCoefficients:
@@ -69,17 +75,15 @@ class TestIndexing:
 class TestInitialState:
     @pytest.mark.parametrize("n, dim", [(3, 6), (10, 90)])
     def test_uniform_amplitudes(self, n, dim):
-        state = core.initial_state(n)
+        state = core.to_packed(core.initial_grid(n))
         assert state.shape == (dim,)
         np.testing.assert_allclose(state, 1 / np.sqrt(dim), atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 6, 17])
     def test_normalized(self, n):
-        assert np.sum(np.abs(core.initial_state(n)) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(core.initial_grid(n)) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_small_graphs(self):
-        with pytest.raises(ValueError):
-            core.initial_state(2)
         with pytest.raises(ValueError):
             core.initial_grid(2)
 
@@ -87,7 +91,9 @@ class TestInitialState:
     def test_initial_grid_is_the_unpacked_initial_state(self, n):
         grid = core.initial_grid(n)
         assert grid.flags.c_contiguous
-        assert grid.tobytes() == core.to_grid(core.initial_state(n), n).tobytes()
+        dim = n * (n - 1)
+        uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+        assert grid.tobytes() == core.to_grid(uniform, n).tobytes()
 
 
 class TestApplyStep:
@@ -95,14 +101,14 @@ class TestApplyStep:
         # r = 0 at N=3, so the only move from edge (0 -> 1) is on to vertex 2
         state = np.zeros(6, complex)
         state[core.edge_index(3, 0, 1)] = 1.0
-        out = core.apply_step(state, config(3))
+        out = packed_step(state, config(3))
         expected = np.zeros(6, complex)
         expected[core.edge_index(3, 1, 2)] = 1.0
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 5, 12, 40])
     def test_uniform_state_is_fixed_point(self, n):
-        state = core.initial_state(n)
+        state = core.initial_grid(n)
         out = core.apply_step(state, config(n))
         assert np.abs(out - state).max() < 1e-13
 
@@ -112,7 +118,7 @@ class TestApplyStep:
         cfg = config(4, k=2, phase=np.pi / 2)
         state = np.zeros(12, complex)
         state[core.edge_index(4, 0, 1)] = 1.0
-        out = core.apply_step(state, cfg)
+        out = packed_step(state, cfg)
         assert out[core.edge_index(4, 1, 0)] == pytest.approx(1 / 3, abs=1e-15)
         assert out[core.edge_index(4, 1, 2)] == pytest.approx(2j / 3, abs=1e-15)
         assert out[core.edge_index(4, 1, 3)] == pytest.approx(2j / 3, abs=1e-15)
@@ -126,11 +132,11 @@ class TestApplyStep:
                 for phase in (0.0, np.pi / 4, np.pi / 2, np.pi):
                     cfg = config(n, k, phase)
                     for _ in range(5):
-                        out = core.apply_step(random_state(rng, n * (n - 1)), cfg)
+                        out = core.apply_step(grid_of(random_state(rng, n * (n - 1)), n), cfg)
                         assert abs(np.linalg.norm(out) - 1) < 1e-12
 
     def test_input_not_mutated(self):
-        state = core.initial_state(8)
+        state = core.initial_grid(8)
         before = state.copy()
         core.apply_step(state, config(8, k=3, phase=np.pi / 2))
         np.testing.assert_array_equal(state, before)
@@ -138,7 +144,7 @@ class TestApplyStep:
     def test_single_marked_vertex_walks_unmarked(self):
         # K = 1 leaves no marked edge, so the phase never fires
         rng = np.random.default_rng(21)
-        state = random_state(rng, 42)
+        state = grid_of(random_state(rng, 42), 7)
         lone = WalkConfig(n_vertices=7, marked_set=frozenset({4}), phase=np.pi / 2)
         np.testing.assert_array_equal(
             core.apply_step(state, lone), core.apply_step(state, config(7))
@@ -148,7 +154,7 @@ class TestApplyStep:
         # K = N phases every edge; still one unitary step
         cfg = WalkConfig(n_vertices=6, marked_set=frozenset(range(6)), phase=np.pi / 2)
         rng = np.random.default_rng(22)
-        out = core.apply_step(random_state(rng, 30), cfg)
+        out = core.apply_step(grid_of(random_state(rng, 30), 6), cfg)
         assert abs(np.linalg.norm(out) - 1) < 1e-12
         dense = core.dense_step_operator(cfg)
         assert np.abs(dense.conj().T @ dense - np.eye(30)).max() < 1e-12
@@ -158,8 +164,8 @@ class TestApplyStep:
             core.apply_step(np.zeros(10, complex), config(5))
 
     def test_nonfinite_rejected(self):
-        state = core.initial_state(5).copy()
-        state[0] = np.nan
+        state = core.initial_grid(5)
+        state[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             core.apply_step(state, config(5))
 
@@ -172,6 +178,19 @@ VALIDATED_STEPS = {
 }
 
 
+#: every function that steps or reads a state, on the same walk
+GRID_ONLY = {
+    **VALIDATED_STEPS,
+    "evolve": lambda state: core.evolve(state, config(7, 3, np.pi / 2), 2),
+    "marked_probability": lambda state: core.marked_probability(state, config(7, 3, np.pi / 2)),
+    "project": lambda state: reduced.project(state, config(7, 3, np.pi / 2)),
+}
+
+
+#: what the steps raise for a packed state: the grid is the only layout they take
+PACKED_REFUSAL = r"shape \(42,\), expected \(7, 7\)"
+
+
 def laid_out(state, layout):
     """A packed state as itself, as a row-major grid or as a transposed view."""
     if layout == "packed":
@@ -181,7 +200,25 @@ def laid_out(state, layout):
 
 
 class TestValidatedSteps:
-    """apply_step and oracle_step refuse bad input before writing anything."""
+    """The steps and readers take a grid only; the steps refuse bad input
+    before writing anything."""
+
+    @pytest.mark.parametrize("function, observed", [
+        *((function, False) for function in GRID_ONLY),
+        *((step, True) for step in VALIDATED_STEPS),
+    ])
+    def test_a_packed_state_is_refused_and_nothing_is_written(self, function, observed):
+        state = random_state(np.random.default_rng(6), 42)
+        before = state.copy()
+        out = np.full((7, 7), 0.25 - 0.5j)
+        out_before = out.copy()
+        kwargs = {"out": out} if function in VALIDATED_STEPS else {}
+        if observed:
+            kwargs["reader"] = reduced.read_strips
+        with pytest.raises(ValueError, match=PACKED_REFUSAL):
+            GRID_ONLY[function](state, **kwargs)
+        assert state.tobytes() == before.tobytes()
+        assert out.tobytes() == out_before.tobytes()
 
     @pytest.mark.parametrize("step", VALIDATED_STEPS)
     @pytest.mark.parametrize("layout", ["packed", "grid", "transposed"])
@@ -201,7 +238,9 @@ class TestValidatedSteps:
         elif target == "observed":
             kwargs["reader"] = reduced.read_strips
         out_before = kwargs["out"].copy()
-        with pytest.raises(ValueError, match="non-finite"):
+        # a packed state is refused for its shape, before its amplitudes are read
+        with pytest.raises(ValueError, match=PACKED_REFUSAL if layout == "packed"
+                           else "non-finite"):
             VALIDATED_STEPS[step](state, **kwargs)
         assert state.tobytes() == before.tobytes()
         assert kwargs["out"].tobytes() == out_before.tobytes()
@@ -229,12 +268,14 @@ class TestValidatedSteps:
         state = random_state(np.random.default_rng(5), 42)
         state[core.edge_index(7, 0, 4)] = state[core.edge_index(7, 5, 4)] = 1e308
         state = laid_out(state, layout)
+        if layout == "packed":
+            # converted at the caller's boundary; to_grid's finiteness check passes them
+            state = core.to_grid(state, 7)
         with np.errstate(all="ignore"):
-            expected = core.step_grid(core.to_grid(state, 7), np.arange(3), factor)
+            expected = core.step_grid(state, np.arange(3), factor)
             got = VALIDATED_STEPS[step](state)
         assert not np.isfinite(expected).all()
-        np.testing.assert_array_equal(got, core.to_packed(expected) if layout == "packed"
-                                      else expected)
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestDenseCrossCheck:
@@ -247,7 +288,7 @@ class TestDenseCrossCheck:
         assert np.abs(dense.conj().T @ dense - np.eye(dim)).max() < 1e-12
         naive = naive_dense_operator(n, range(k), phase)
         assert np.abs(dense - naive).max() < 1e-13
-        free = operator_of(lambda col: core.apply_step(col, cfg), dim)
+        free = operator_of(lambda col: packed_step(col, cfg), dim)
         assert np.abs(free - dense).max() < 1e-13
 
     def test_marked_columns_match_scattering_rules(self):
@@ -287,21 +328,21 @@ class TestPermutationCovariance:
                 k + rng.permutation(n - k),
             ])
             state = random_state(rng, n * (n - 1))
-            lhs = core.apply_step(relabel_state(state, n, perm), cfg)
-            rhs = relabel_state(core.apply_step(state, cfg), n, perm)
+            lhs = packed_step(relabel_state(state, n, perm), cfg)
+            rhs = relabel_state(packed_step(state, cfg), n, perm)
             assert np.abs(lhs - rhs).max() < 1e-13
 
 
 class TestEvolve:
     def test_zero_steps_is_identity(self):
         rng = np.random.default_rng(3)
-        state = random_state(rng, 30)
+        state = grid_of(random_state(rng, 30), 6)
         out = core.evolve(state, config(6, 2, np.pi / 2), 0)
         np.testing.assert_array_equal(out, state)
 
     def test_one_step_matches_apply_step(self):
         rng = np.random.default_rng(4)
-        state = random_state(rng, 42)
+        state = grid_of(random_state(rng, 42), 7)
         cfg = config(7, 3, np.pi / 2)
         np.testing.assert_allclose(
             core.evolve(state, cfg, 1), core.apply_step(state, cfg), atol=1e-15
@@ -309,28 +350,28 @@ class TestEvolve:
 
     def test_norm_drift_stays_small(self):
         cfg = config(30, 3, np.pi / 2)
-        out = core.evolve(core.initial_state(30), cfg, 200)
+        out = core.evolve(core.initial_grid(30), cfg, 200)
         assert abs(np.linalg.norm(out) - 1) < 1e-9
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
-            core.evolve(core.initial_state(5), config(5), -1)
+            core.evolve(core.initial_grid(5), config(5), -1)
 
     @pytest.mark.parametrize("steps", [True, float("nan"), float("inf")])
     def test_rejects_bool_nan_and_infinite_steps(self, steps):
         with pytest.raises(ValueError, match=f"got {steps!r}"):
-            core.evolve(core.initial_state(5), config(5), steps)
+            core.evolve(core.initial_grid(5), config(5), steps)
 
     def test_grid_in_grid_out(self):
         rng = np.random.default_rng(5)
         cfg = config(9, 3, np.pi / 2)
-        state = random_state(rng, 72)
-        for steps in (0, 1, 4):
-            grid = core.evolve(core.to_grid(state, 9), cfg, steps)
+        state = grid_of(random_state(rng, 72), 9)
+        stepped = state
+        for steps in range(5):
+            grid = core.evolve(state, cfg, steps)
             assert grid.shape == (9, 9)
-            np.testing.assert_allclose(
-                core.to_packed(grid), core.evolve(state, cfg, steps), atol=1e-15
-            )
+            np.testing.assert_allclose(grid, stepped, atol=1e-15)
+            stepped = core.apply_step(stepped, cfg)
 
 
 class TestGridLayout:
@@ -344,7 +385,7 @@ class TestGridLayout:
 
     def test_step_returns_a_transposed_view(self):
         cfg = config(6, 2, np.pi / 2)
-        grid = core.to_grid(core.initial_state(6), 6)
+        grid = core.initial_grid(6)
         once = core.apply_step(grid, cfg)
         assert once.flags.f_contiguous and not once.flags.c_contiguous
         assert core.apply_step(once, cfg).flags.c_contiguous
@@ -354,14 +395,19 @@ class TestGridLayout:
         with pytest.raises(ValueError, match="shape"):
             core.apply_step(np.zeros(shape, complex), config(6))
 
+    @pytest.mark.parametrize("shape", [(7, 7), (41,), (43,), (42, 1)])
+    def test_to_grid_takes_a_packed_vector_only(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(42,\)"):
+            core.to_grid(np.zeros(shape, complex), 7)
+
     def test_rejects_nonzero_diagonal(self):
-        grid = core.to_grid(core.initial_state(5), 5)
+        grid = core.initial_grid(5)
         grid[3, 3] = 0.1
         with pytest.raises(ValueError, match="diagonal"):
             core.apply_step(grid, config(5))
 
     def test_rejects_nonfinite_grid(self):
-        grid = core.to_grid(core.initial_state(5), 5)
+        grid = core.initial_grid(5)
         grid[0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             core.marked_probability(grid, config(5, 2))
@@ -372,7 +418,7 @@ class TestMarkedProbability:
     def test_uniform_state_value(self, n, k):
         cfg = config(n, k)
         expected = k * (k - 1) / (n * (n - 1))
-        assert core.marked_probability(core.initial_state(n), cfg) == pytest.approx(
+        assert core.marked_probability(core.initial_grid(n), cfg) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -381,12 +427,12 @@ class TestMarkedProbability:
         state = np.zeros(56, complex)
         idx = core.marked_edge_indices(cfg)
         state[idx] = 1 / np.sqrt(len(idx))
-        assert core.marked_probability(state, cfg) == pytest.approx(1.0, abs=1e-14)
+        assert core.marked_probability(grid_of(state, 8), cfg) == pytest.approx(1.0, abs=1e-14)
 
     def test_localization_regression_n100(self):
         # evolved through the full engine; target frozen pre-build
         cfg = config(100, 2, np.pi / 2)
-        out = core.evolve(core.initial_state(100), cfg, 55)
+        out = core.evolve(core.initial_grid(100), cfg, 55)
         p = core.marked_probability(out, cfg)
         assert p > 0.7
         assert p == pytest.approx(P_MARKED_N100_K2_NOPT, abs=1e-9)

@@ -29,7 +29,7 @@ from scatterwalk.oracle import (
     uncopy_endpoints,
 )
 
-from helpers import marked_phase_vector, operator_of, random_state
+from helpers import grid_of, marked_phase_vector, operator_of, packed_of, random_state
 
 
 class TestOracleFunction:
@@ -203,7 +203,7 @@ class TestOracleStep:
         rng = np.random.default_rng(n)
         ledger = QueryLedger()
         for _ in range(5):
-            state = random_state(rng, core.n_edge_states(n))
+            state = grid_of(random_state(rng, core.n_edge_states(n)), n)
             got = oracle_step(state, f, ledger)
             want = core.apply_step(state, cfg)
             assert np.abs(got - want).max() < 1e-13
@@ -214,14 +214,14 @@ class TestOracleStep:
         f = OracleFunction(n_vertices=n, marked_set=cfg.marked_set)
         ledger = QueryLedger()
         dim = core.n_edge_states(n)
-        circuit = operator_of(lambda c: oracle_step(c, f, ledger), dim)
-        walk = operator_of(lambda c: core.apply_step(c, cfg), dim)
+        circuit = operator_of(lambda c: packed_of(oracle_step(grid_of(c, n), f, ledger)), dim)
+        walk = operator_of(lambda c: packed_of(core.apply_step(grid_of(c, n), cfg)), dim)
         assert np.abs(circuit - walk).max() < 1e-13
 
     def test_ledger_counts_two_calls_per_step(self):
         f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 1}))
         ledger = QueryLedger()
-        state = core.initial_state(6)
+        state = core.initial_grid(6)
         for n in range(1, 8):
             state = oracle_step(state, f, ledger)
             assert ledger.quantum_calls == 2 * n
@@ -229,7 +229,7 @@ class TestOracleStep:
     def test_unmarked_oracle_still_spends_calls(self):
         f = OracleFunction(n_vertices=7, marked_set=frozenset())
         ledger = QueryLedger()
-        state = core.initial_state(7)
+        state = core.initial_grid(7)
         out = oracle_step(state, f, ledger)
         np.testing.assert_allclose(out, core.apply_step(state, WalkConfig(7)), atol=1e-15)
         assert ledger.quantum_calls == 2

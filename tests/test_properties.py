@@ -20,6 +20,7 @@ from helpers import (
     grid_of,
     naive_class_basis,
     naive_dense_operator,
+    packed_of,
     random_state,
     relabel_state,
 )
@@ -47,15 +48,13 @@ def test_apply_step_matches_naive_operator_on_both_layouts(walk):
     config, state, steps = walk
     n = config.n_vertices
     dense = naive_dense_operator(n, config.marked_set, config.phase)
-    expected, packed, grid = state, state, core.to_grid(state, n)
+    expected, grid = state, core.to_grid(state, n)
     buffer = in_place = core.to_grid(state, n)
     for _ in range(steps):
         expected = dense @ expected
-        packed = core.apply_step(packed, config)
         grid = core.apply_step(grid, config)
         in_place = core.apply_step(in_place, config, out=in_place)
-        assert packed.shape == (n * (n - 1),) and grid.shape == (n, n)
-        assert np.abs(packed - expected).max() < 1e-13
+        assert grid.shape == (n, n)
         assert np.abs(grid - grid_of(expected, n)).max() < 1e-13
         np.testing.assert_array_equal(in_place, grid)
         assert np.shares_memory(in_place, buffer)
@@ -68,13 +67,12 @@ def test_inputs_are_never_mutated(walk):
     f = OracleFunction(config.n_vertices, config.marked_set)
     grid = core.to_grid(state, config.n_vertices)
     for _ in range(steps):
-        for current in (state, grid):
-            before = current.copy()
-            core.apply_step(current, config)
-            oracle.oracle_step(current, f, QueryLedger())
-            core.evolve(current, config, 2)
-            np.testing.assert_array_equal(current, before)
-        state, grid = core.apply_step(state, config), core.apply_step(grid, config)
+        before = grid.copy()
+        core.apply_step(grid, config)
+        oracle.oracle_step(grid, f, QueryLedger())
+        core.evolve(grid, config, 2)
+        np.testing.assert_array_equal(grid, before)
+        grid = core.apply_step(grid, config)
 
 
 @BOUNDED
@@ -84,41 +82,35 @@ def test_oracle_step_agrees_with_walk_step_on_both_layouts(walk):
     n = config.n_vertices
     f = OracleFunction(n, config.marked_set)
     ledger = QueryLedger()
-    walked, packed, grid = state, state, core.to_grid(state, n)
+    walked, grid = core.to_grid(state, n), core.to_grid(state, n)
     buffer = in_place = core.to_grid(state, n)
     for _ in range(steps):
         walked = core.apply_step(walked, config)
-        packed = oracle.oracle_step(packed, f, ledger)
         grid = oracle.oracle_step(grid, f, ledger)
         in_place = oracle.oracle_step(in_place, f, ledger, out=in_place)
-        assert np.abs(packed - walked).max() < 1e-13
-        assert np.abs(grid - grid_of(walked, n)).max() < 1e-13
+        assert np.abs(grid - walked).max() < 1e-13
         np.testing.assert_array_equal(in_place, grid)
         assert np.shares_memory(in_place, buffer)
-    assert ledger.quantum_calls == 6 * steps
+    assert ledger.quantum_calls == 4 * steps
 
 
 @BOUNDED
 @given(walks(min_marked=2))
-def test_grid_projection_matches_packed_and_naive_basis(walk):
+def test_grid_projection_matches_the_naive_basis(walk):
     config, state, steps = walk
     n = config.n_vertices
     basis = naive_class_basis(n, config.marked_set)
     grid = core.to_grid(state, n)
     for _ in range(steps):
-        state, grid = core.apply_step(state, config), core.apply_step(grid, config)
+        grid = core.apply_step(grid, config)
+        state = packed_of(grid)
         comps, residual = reduced.project(grid, config)
-        packed_comps, packed_residual = reduced.project(state, config)
         naive = basis.conj().T @ state
-        assert np.abs(comps - packed_comps).max() < 1e-13
         assert np.abs(comps - naive).max() < 1e-13
-        assert abs(residual - packed_residual) < 1e-13
         assert abs(residual - np.linalg.norm(state - basis @ naive)) < 1e-13
         # the marked edges are the support of the w4 class vector
         marked_mass = np.sum(np.abs(state[basis[:, 3] != 0]) ** 2)
-        p_grid = core.marked_probability(grid, config)
-        assert abs(p_grid - core.marked_probability(state, config)) < 1e-14
-        assert abs(p_grid - marked_mass) < 1e-14
+        assert abs(core.marked_probability(grid, config) - marked_mass) < 1e-14
 
 
 @BOUNDED
@@ -126,7 +118,7 @@ def test_grid_projection_matches_packed_and_naive_basis(walk):
 def test_full_evolution_matches_the_reduced_engine(walk, steps):
     config, _, _ = walk
     n, k = config.n_vertices, config.k_marked
-    comps, residual = reduced.project(core.evolve(core.initial_state(n), config, steps), config)
+    comps, residual = reduced.project(core.evolve(core.initial_grid(n), config, steps), config)
     op = reduced.reduced_operator(n, k, config.phase)
     expected = reduced.evolve_reduced(reduced.reduced_initial_state(n, k), op, steps)
     assert np.abs(comps - expected).max() < 1e-12
@@ -140,14 +132,13 @@ def test_random_steps_preserve_norms_and_inner_products(walk, seed):
     n = config.n_vertices
     other = random_state(np.random.default_rng(seed), n * (n - 1))
     overlap = np.vdot(state, other)
-    packed, grid = (state, other), (core.to_grid(state, n), core.to_grid(other, n))
+    grid = (core.to_grid(state, n), core.to_grid(other, n))
     for _ in range(steps):
-        packed = tuple(core.apply_step(s, config) for s in packed)
         grid = tuple(core.apply_step(g, config) for g in grid)
-        for a, b in (packed, tuple(core.to_packed(g) for g in grid)):
-            assert abs(np.linalg.norm(a) - 1.0) < 1e-13
-            assert abs(np.linalg.norm(b) - 1.0) < 1e-13
-            assert abs(np.vdot(a, b) - overlap) < 1e-13
+        a, b = (core.to_packed(g) for g in grid)
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-13
+        assert abs(np.linalg.norm(b) - 1.0) < 1e-13
+        assert abs(np.vdot(a, b) - overlap) < 1e-13
 
 
 @BOUNDED
@@ -160,7 +151,7 @@ def test_relabelling_vertices_commutes_with_the_step(walk, random):
     relabelled = WalkConfig(n, frozenset(perm[v] for v in config.marked_set), config.phase)
     moved = core.to_grid(relabel_state(state, n, perm), n)
     for _ in range(steps):
-        state = core.apply_step(state, config)
+        state = packed_of(core.apply_step(grid_of(state, n), config))
         moved = core.apply_step(moved, relabelled)
         assert np.abs(core.to_packed(moved) - relabel_state(state, n, perm)).max() < 1e-13
 

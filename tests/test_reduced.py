@@ -19,6 +19,7 @@ from scatterwalk.reduced import (
 
 from helpers import (
     edge_endpoint_arrays,
+    grid_of,
     mp_search_components,
     naive_class_basis,
     naive_dense_operator,
@@ -117,18 +118,18 @@ class TestReducedInitialState:
     @pytest.mark.parametrize("n, k", [(5, 2), (12, 4), (30, 3)])
     def test_embeds_to_uniform_state(self, n, k):
         state = embed(reduced_initial_state(n, k), config(n, k))
-        assert np.abs(state - core.initial_state(n)).max() < 1e-13
+        assert np.abs(state - core.to_packed(core.initial_grid(n))).max() < 1e-13
 
 
 class TestProjectEmbed:
     def test_initial_state_lies_in_subspace(self):
-        comps, residual = project(core.initial_state(10), config(10, 3))
+        comps, residual = project(core.initial_grid(10), config(10, 3))
         assert residual < 1e-13
         np.testing.assert_allclose(comps, reduced_initial_state(10, 3), atol=1e-13)
 
     def test_evolved_states_stay_in_subspace(self):
         cfg = config(12, 3)
-        state = core.initial_state(12)
+        state = core.initial_grid(12)
         for _ in range(60):
             state = core.apply_step(state, cfg)
             _, residual = project(state, cfg)
@@ -137,7 +138,7 @@ class TestProjectEmbed:
     def test_single_edge_state_leaves_residual(self):
         state = np.zeros(30, complex)
         state[core.edge_index(6, 2, 3)] = 1.0  # both endpoints unmarked
-        _, residual = project(state, config(6, 2))
+        _, residual = project(grid_of(state, 6), config(6, 2))
         assert residual > 0.5
 
     def test_embed_unit_vectors(self):
@@ -158,7 +159,7 @@ class TestProjectEmbed:
         cfg = config(9, 4)
         for _ in range(5):
             comps = random_state(rng, 4)
-            back, residual = project(embed(comps, cfg), cfg)
+            back, residual = project(grid_of(embed(comps, cfg), 9), cfg)
             np.testing.assert_allclose(back, comps, atol=1e-13)
             assert residual < 1e-13
 
@@ -167,7 +168,7 @@ class TestProjectEmbed:
         cfg = config(11, 3)
         comps = random_state(rng, 4)
         state = embed(comps, cfg)
-        assert core.marked_probability(state, cfg) == pytest.approx(
+        assert core.marked_probability(grid_of(state, 11), cfg) == pytest.approx(
             abs(comps[3]) ** 2, abs=1e-12
         )
 
@@ -256,7 +257,7 @@ class TestEvolveReduced:
         cfg = config(30, 3)
         op = reduced_operator(30, 3, np.pi / 2)
         comps0 = reduced_initial_state(30, 3)
-        state = core.initial_state(30)
+        state = core.initial_grid(30)
         for n in range(1, 201):
             state = core.apply_step(state, cfg)
             if n % 20 == 0 or n == 200:
@@ -291,6 +292,20 @@ class TestComponentSeries:
         # the norm error as `walk run` prints it: the weights summed left to right
         total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
         assert np.abs(total ** 0.5 - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("horizon", [2.5, -1, True, float("nan"), float("inf")])
+    def test_refuses_the_step_counts_evolve_reduced_refuses(self, horizon):
+        op, state = reduced_operator(6, 2, np.pi / 2), reduced_initial_state(6, 2)
+        for evolved in (lambda: reduced.component_series(op, state, horizon),
+                        lambda: evolve_reduced(state, op, horizon)):
+            with pytest.raises(ValueError, match=f"got {horizon!r}"):
+                evolved()
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 4)])
+    def test_refuses_a_state_not_of_shape_4(self, shape):
+        op = reduced_operator(6, 2, np.pi / 2)
+        with pytest.raises(ValueError, match=r"must have shape \(4,\)"):
+            reduced.component_series(op, np.ones(shape), 3)
 
 
 class TestAsymptotics:

@@ -18,7 +18,7 @@ from scatterwalk.stats import (
     sample_measurement,
 )
 
-from helpers import coverage_by_enumeration, coverage_by_replay, edge_index
+from helpers import coverage_by_enumeration, coverage_by_replay, edge_index, packed_of
 
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
 P_SUCCESS_N100_K2 = 0.980108582511343
@@ -55,14 +55,14 @@ class TestSampleMeasurement:
             assert sample_measurement(state, seed) == (1, 2)
 
     def test_seed_determinism(self):
-        state = core.initial_state(8)
+        state = core.to_packed(core.initial_grid(8))
         draws_a = [sample_measurement(state, 123) for _ in range(10)]
         draws_b = [sample_measurement(state, 123) for _ in range(10)]
         assert draws_a == draws_b
 
     def test_uniform_distribution_chi_squared(self):
         n, samples = 6, 30_000
-        state = core.initial_state(n)
+        state = core.to_packed(core.initial_grid(n))
         rng = np.random.default_rng(2024)
         counts = np.zeros(core.n_edge_states(n))
         for _ in range(samples):
@@ -133,7 +133,7 @@ class TestRunSearch:
         run_search(cfg, seed=0)
         (state,) = seen
         assert state.shape == (132,)
-        expected = core.evolve(core.initial_state(12), cfg, reduced.optimal_steps(12, 3))
+        expected = packed_of(core.evolve(core.initial_grid(12), cfg, reduced.optimal_steps(12, 3)))
         assert np.abs(state - expected).max() < 1e-13
 
     def test_requires_half_pi_phase(self):
