@@ -31,7 +31,6 @@ from .oracle import (
 )
 from .reduced import (
     asymptotic_amplitudes,
-    embed,
     evolve_reduced,
     localization_rate,
     optimal_steps,
@@ -66,7 +65,6 @@ __all__ = [
     "reduced_operator",
     "reduced_initial_state",
     "project",
-    "embed",
     "spectral_decompose",
     "evolve_reduced",
     "asymptotic_amplitudes",

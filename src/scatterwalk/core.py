@@ -14,7 +14,9 @@ may be a transposed view: indexing is unaffected, only the memory order
 alternates.  Packed vectors, the N(N-1) amplitudes in canonical order
 index(m, l) = m*(N-1) + (l if l < m else l - 1), i.e. the grid row-major
 without its diagonal, remain only where the edge basis is the point:
-`to_grid`/`to_packed`, `marked_edge_indices` and `dense_step_operator`.
+`to_grid`/`to_packed` and `dense_step_operator`.  `edge_index` and
+`edge_endpoints` (of one index or an integer array) are the package's only
+encoder and decoder of that order.
 
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
@@ -25,9 +27,9 @@ returns the free view out.  The marked phase is a diagonal sandwich
 e^{2i*phi} on reflection back into a marked edge and e^{i*phi} on entry
 or exit), applied as a K x K block product on the marked rows and
 columns with colsum corrected on the marked columns; then the diagonal
-is re-zeroed.  The validated steps read finiteness from colsum: a
-non-finite amplitude makes its column sum non-finite, and only then is
-the grid checked entry by entry, before anything is written.
+is re-zeroed.  Every step reads finiteness from colsum: a non-finite
+amplitude makes its column sum non-finite, and only then is the grid
+checked entry by entry, before anything is written.
 
 A step can also be observed in the pass that makes it: it then reads the
 grid in strips of `strip_rows(N)` memory rows and hands each one, just
@@ -63,7 +65,6 @@ __all__ = [
     "apply_step",
     "evolve",
     "marked_probability",
-    "marked_edge_indices",
     "dense_step_operator",
 ]
 
@@ -132,13 +133,21 @@ def edge_index(n_vertices: int, source: int, target: int) -> int:
     return source * (n_vertices - 1) + (target if target < source else target - 1)
 
 
-def edge_endpoints(n_vertices: int, index: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    if not (0 <= index < n_edge_states(n_vertices)):
-        raise ValueError(f"edge index {index} out of range for N={n_vertices}")
-    source, rem = divmod(index, n_vertices - 1)
-    target = rem if rem < source else rem + 1
-    return source, target
+def edge_endpoints(n_vertices: int, index):
+    """Inverse of edge_index: (source, target) of one index as ints, or of
+    an integer array as two arrays of its shape.  Refuses an index that is
+    not an integer, and one outside 0..N(N-1)-1, naming the smallest or
+    largest; an array's range is read by two reductions, so a batch of
+    draws is decoded without a mask."""
+    index = np.asarray(index)
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ValueError(f"edge indices must be integers, got {index.dtype}")
+    low, high = (index.min(), index.max()) if index.size else (0, 0)
+    if low < 0 or high >= n_edge_states(n_vertices):
+        raise ValueError(f"edge index {low if low < 0 else high} out of range for N={n_vertices}")
+    source, target = np.divmod(index.astype(np.intp, copy=False), n_vertices - 1)
+    target += target >= source
+    return (int(source), int(target)) if index.ndim == 0 else (source, target)
 
 
 def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -212,16 +221,16 @@ def strip_rows(n_vertices: int) -> int:
 
 def step_grid(
     grid: np.ndarray, marked: np.ndarray, factor: complex = 1.0, out: np.ndarray | None = None,
-    *, check_finite: bool = False, reader=None,
+    *, reader=None,
 ):
     """One walk step on an N x N grid: the kernel behind every full-state path.
 
     `marked` is a sorted marked-vertex array, `factor` the phase on edges
     inside it.  Writes out^T into `out` (default: a fresh array laid out
     like `grid`; passing `grid` steps in place) and returns the view out.
-    `grid` is not copied or, unless it is `out`, modified; with
-    check_finite it is refused, before anything is written, if an
-    amplitude is not finite.
+    `grid` is not copied or, unless it is `out`, modified.  Before anything
+    is written, `grid` is refused if an amplitude is not finite, and `out`
+    if it is not a complex N x N array.
 
     With a `reader`, `grid` is read in the pass that steps it, and the step
     returns (out, reader(grid, colsum, marked, transposed, strips)): colsum
@@ -230,9 +239,13 @@ def step_grid(
     `strip_rows(N)`, each just before out is written over it.
     """
     n, k = grid.shape[0], len(marked)
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == grid.shape
+                                and out.dtype == np.complex128):
+        raise ValueError(f"out must be a complex128 array of shape {grid.shape}, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} of shape {np.shape(out)}")
     colsum = grid.sum(axis=0)
     # a non-finite amplitude makes its column sum, and so their total, non-finite
-    if check_finite and not cmath.isfinite(complex(colsum.sum())):
+    if not cmath.isfinite(complex(colsum.sum())):
         _check_finite(grid)  # finite amplitudes whose sum overflows pass
     shift = k >= 2 and factor != 1.0
     scaled = colsum.copy()
@@ -286,25 +299,20 @@ def apply_step(
     """
     grid = check_grid(state, config.n_vertices, check_finite=False)
     return step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
-                     out=out, check_finite=True, reader=reader)
+                     out=out, reader=reader)
 
 
 def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:
-    """`steps` walk steps of an N x N grid, stepped in place in one copy of it."""
+    """`steps` walk steps of an N x N grid, stepped in place in one copy of it.
+
+    The grid is checked on entry; a step that overflowed into non-finite
+    amplitudes is refused by the next one."""
     steps = check_steps(steps)
     grid = check_grid(state, config.n_vertices).copy()
     marked, factor = marked_vertices(config.marked_set), cmath.exp(1j * config.phase)
     for _ in range(steps):
         grid = step_grid(grid, marked, factor, out=grid)
     return grid
-
-
-def marked_edge_indices(config: WalkConfig) -> np.ndarray:
-    """Packed indices of all directed edges internal to the marked set, ascending."""
-    marked = marked_vertices(config.marked_set)
-    inside = np.zeros((config.n_vertices,) * 2, dtype=bool)
-    inside[marked[:, None], marked] = True
-    return np.flatnonzero(to_packed(inside))
 
 
 def marked_probability(state: np.ndarray, config: WalkConfig) -> float:
@@ -337,8 +345,9 @@ def dense_step_operator(config: WalkConfig) -> np.ndarray:
                     continue
                 op[edge_index(n, l, m), col] = -r if m == k else t
     if config.k_marked >= 2 and config.phase != 0.0:
-        factor = cmath.exp(1j * config.phase)
-        diag = np.ones(dim, dtype=np.complex128)
-        diag[marked_edge_indices(config)] = factor
+        marked = marked_vertices(config.marked_set)
+        phases = np.ones((n, n), dtype=np.complex128)
+        phases[marked[:, None], marked] = cmath.exp(1j * config.phase)
+        diag = to_packed(phases)
         op = diag[:, None] * op * diag[None, :]
     return op

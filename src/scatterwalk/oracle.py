@@ -17,8 +17,9 @@ the expected queries of a classical pair scan.
 Composite states are kept in the factored form that actually occurs in
 the circuit (a basis edge, two vertex labels or blanks, a 4-amplitude
 ancilla); the full tensor product only ever needs to be materialized in
-verification suites.  `oracle_step` steps an N x N grid only; a packed
-canonical index remains only as the name of a basis edge (`conjugated_oracle`).
+verification suites.  `oracle_step` steps an N x N grid only, and
+`conjugated_oracle` names its basis edge by its (source, target) pair, as
+`prepare_composite` does; no packed index is read here.
 """
 
 from __future__ import annotations
@@ -142,19 +143,19 @@ def apply_oracle(state: CompositeState, f: OracleFunction) -> CompositeState:
     return replace(state, ancilla=np.roll(state.ancilla, f(state.vertex_a, state.vertex_b)))
 
 
-def conjugated_oracle(edge_state_index: int, f: OracleFunction) -> complex:
+def conjugated_oracle(edge: tuple[int, int], f: OracleFunction) -> complex:
     """Phase e^{i pi f/2} produced by copy -> oracle -> uncopy on one edge.
 
-    Runs the three gates on a composite state with the ready ancilla and
-    checks that the machinery disentangles: registers return to blank and
-    the ancilla returns to the ready state times the reported phase,
-    exactly.  The returned phase is the per-edge diagonal factor of the
-    phase-pi/2 walk step.
+    `edge` is a (source, target) pair, refused if its endpoints coincide
+    or leave 0..N-1.  Runs the three gates on a composite state with the
+    ready ancilla and checks that the machinery disentangles: registers
+    return to blank and the ancilla returns to the ready state times the
+    reported phase, exactly.  The returned phase is the per-edge diagonal
+    factor of the phase-pi/2 walk step.
     """
-    endpoints = core.edge_endpoints(f.n_vertices, edge_state_index)
-    state = prepare_composite(f.n_vertices, endpoints)
+    state = prepare_composite(f.n_vertices, edge)
     state = uncopy_endpoints(apply_oracle(copy_endpoints(state), f))
-    phase = 1j ** f(*endpoints)
+    phase = 1j ** f(*state.edge)
     if not state.registers_blank:
         raise AssertionError("vertex registers failed to disentangle")
     if not np.array_equal(state.ancilla, phase * kickback_ancilla()):
@@ -179,7 +180,7 @@ def oracle_step(
     grid = core.check_grid(state, f.n_vertices, check_finite=False)
     marked = core.marked_vertices(f.marked_set)
     kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
-    result = core.step_grid(grid, marked, kickback, out=out, check_finite=True, reader=reader)
+    result = core.step_grid(grid, marked, kickback, out=out, reader=reader)
     ledger.quantum_calls += 2
     return result
 

@@ -27,8 +27,9 @@ strips along the grid's memory rows, so no leftover grid is built;
 `observe` hands it the strips of a grid at rest, and
 `core.step_grid(..., reader=read_strips)` those of the grid it steps, each
 just before writing over it.  `project` validates a grid for `observe`.
-`embed` alone returns a packed vector: a class-basis column for the dense
-step operator, which acts on the packed edge basis.
+No function here takes or returns a packed vector; the class basis in the
+packed edge order is built only where it is checked against the dense step
+operator (`verify`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "observe",
     "read_strips",
     "project",
-    "embed",
     "spectral_decompose",
     "evolve_reduced",
     "component_series",
@@ -204,23 +204,6 @@ def _reduced_state(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (4,):
         raise ValueError(f"reduced state must have shape (4,), got {state.shape}")
-    return state
-
-
-def embed(reduced: np.ndarray, config: WalkConfig) -> np.ndarray:
-    """Expand (c1..c4) into the packed edge-state vector sum_i c_i w_i."""
-    reduced = _reduced_state(reduced)
-    _check_range(config.n_vertices, config.k_marked)
-    marked = core.marked_vertices(config.marked_set)
-    label = np.full((config.n_vertices,) * 2, 2)  # class index - 1 of every edge (m, l)
-    label[:, marked] = 0  # into the marked set
-    label[marked, :] = 1  # out of it
-    label[marked[:, None], marked] = 3  # inside it
-    label = core.to_packed(label)
-    state = np.zeros(len(label), dtype=np.complex128)
-    for c, comp in enumerate(reduced):
-        idx = np.flatnonzero(label == c)
-        state[idx] = comp / np.sqrt(len(idx))
     return state
 
 

@@ -15,7 +15,8 @@ one batch.  Both Monte Carlo engines hand their draws, as the runs that
 found a marked edge and the pair each found, to one count with no loop
 over runs, and the success rate is taken from those draws in one place.
 The walk steps an N x N grid; only the measured state is packed, as a
-measurement draws a canonical edge index (`sample_measurement`).
+measurement draws a canonical edge index (`sample_measurement`), and every
+drawn index, one or a batch, is decoded by `core.edge_endpoints`.
 """
 
 from __future__ import annotations
@@ -214,9 +215,8 @@ def _simulate_coverage_full(
     index = np.empty(trials * runs, dtype=np.intp)
     index[0] = core.edge_index(n, *first)
     index[1:] = rng.choice(len(weights), size=len(index) - 1, p=weights)
-    source, target = np.divmod(index, n - 1)
+    source, target = core.edge_endpoints(n, index)
     del index
-    target += target >= source
     found = (source < k_marked) & (target < k_marked)
     hits = source[found]
     del source

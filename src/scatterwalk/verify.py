@@ -108,13 +108,22 @@ def check_fixed_point(dense_max_n: int, random_states: int) -> Iterator[Case]:
 
 
 def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterator[Case]:
-    """The 4x4 operator equals the class-basis projection of the dense step."""
+    """The 4x4 operator equals the class-basis projection of the dense step.
+
+    The dense step acts on the packed edge basis, so the class vectors
+    w1..w4 are packed too: one grid of class labels, packed, gives them as
+    the columns of an N(N-1) x 4 matrix.
+    """
     for n in range(4, dense_max_n + 1):
         for k in range(2, n - 1):
+            label = np.full((n, n), 2)  # class index - 1 of every edge (m, l)
+            label[:, :k] = 0  # into the marked set 0..k-1
+            label[:k] = 1  # out of it
+            label[:k, :k] = 3  # inside it
+            member = core.to_packed(label)[:, None] == np.arange(4)
+            basis = member / np.sqrt(member.sum(axis=0))
             for phi in _PHASES:
                 config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phi)
-                basis = np.column_stack(
-                    [reduced.embed(e, config) for e in np.eye(4, dtype=complex)])
                 projected = basis.conj().T @ core.dense_step_operator(config) @ basis
                 err = np.abs(projected - reduced.reduced_operator(n, k, phi)).max()
                 yield err, 1e-12, f"mismatch {err:.3e} at {_where(config)}"
@@ -166,12 +175,10 @@ def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         err = np.abs(walk_op - circuit_op).max()
         yield err, 1e-13, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
-        marked_edges = core.marked_edge_indices(config)
         for edge in ((2, 0), (0, 2), (2, 3), (0, 1)):  # classes w1..w4
-            index = core.edge_index(n, *edge)
-            walk_phase = cmath.exp(1j * config.phase) if index in marked_edges else 1.0
+            walk_phase = cmath.exp(1j * config.phase) if set(edge) <= config.marked_set else 1.0
             try:
-                phase = oracle.conjugated_oracle(index, f)
+                phase = oracle.conjugated_oracle(edge, f)
             except AssertionError as exc:  # the gates did not disentangle
                 yield math.inf, 1e-13, f"{exc} on edge {edge} at N={n}"
                 continue

@@ -19,7 +19,14 @@ from scatterwalk.cli import main as cli_main
 from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 
-from helpers import grid_of, operator_of, packed_of, random_state, scan_optimal_steps
+from helpers import (
+    grid_of,
+    naive_class_basis,
+    operator_of,
+    packed_of,
+    random_state,
+    scan_optimal_steps,
+)
 
 # pre-registered values from the pre-build reduced-model spectral oracle
 P_N1000_AT_555 = 0.9980032557010865        # marked probability, N=1000, K=2
@@ -67,9 +74,7 @@ def test_criterion_2_reduction_exactness():
         for k in range(2, n - 1):
             for phase in (0.0, np.pi / 2, np.pi):
                 config = cfg(n, k, phase)
-                basis = np.column_stack(
-                    [reduced.embed(e, config) for e in np.eye(4, dtype=complex)]
-                )
+                basis = naive_class_basis(n, range(k))
                 projected = basis.conj().T @ core.dense_step_operator(config) @ basis
                 err = np.abs(projected - reduced.reduced_operator(n, k, phase)).max()
                 worst_proj = max(worst_proj, err)

@@ -470,7 +470,7 @@ class TestVerifyCommand:
             ("apply_oracle", lambda gate: lambda state, f: dataclasses.replace(
                 gate(state, f), ancilla=np.roll(gate(state, f).ancilla, 1)),
              "ancilla failed to return to the ready state on edge (2, 0) at N=6"),
-            ("conjugated_oracle", lambda gates: lambda index, f: 1.0,
+            ("conjugated_oracle", lambda gates: lambda edge, f: 1.0,
              "circuit phase off by 1.414e+00 on edge (0, 1) at N=6, K=2"),
         ],
     )

@@ -10,6 +10,7 @@ from scatterwalk.oracle import OracleFunction, QueryLedger
 from helpers import (
     edge_endpoint_arrays,
     grid_of,
+    marked_phase_vector,
     naive_dense_operator,
     operator_of,
     packed_of,
@@ -55,8 +56,24 @@ class TestIndexing:
                 idx = core.edge_index(n, m, l)
                 assert idx == m * (n - 1) + (l if l < m else l - 1)
                 assert core.edge_endpoints(n, idx) == (m, l)
+                assert all(type(v) is int for v in core.edge_endpoints(n, np.intp(idx)))
                 seen.add(idx)
         assert seen == set(range(core.n_edge_states(n)))
+        # an integer array decodes elementwise, in its own shape
+        dim = core.n_edge_states(n)
+        sources, targets = core.edge_endpoints(n, np.arange(dim).reshape(n, n - 1))
+        want_sources, want_targets = edge_endpoint_arrays(n)
+        np.testing.assert_array_equal(sources.ravel(), want_sources)
+        np.testing.assert_array_equal(targets.ravel(), want_targets)
+        # one entry out of range refuses the whole array, naming that entry alone
+        for bad in (dim, -1):
+            indices = np.arange(dim)
+            indices[dim // 2] = bad
+            with pytest.raises(ValueError, match=rf"^edge index {bad} out of range for N={n}$"):
+                core.edge_endpoints(n, indices)
+        for bad in (2.0, True, np.arange(dim, dtype=float)):
+            with pytest.raises(ValueError, match="must be integers"):
+                core.edge_endpoints(n, bad)
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
@@ -70,6 +87,9 @@ class TestIndexing:
         sources, targets = edge_endpoint_arrays(6)
         for idx in range(30):
             assert (sources[idx], targets[idx]) == core.edge_endpoints(6, idx)
+        # a narrow dtype decodes without wrapping: index 255 of N=300 has target 256
+        sources, targets = core.edge_endpoints(300, np.array([254, 255], dtype=np.uint8))
+        assert (sources.tolist(), targets.tolist()) == ([0, 0], [255, 256])
 
 
 class TestInitialState:
@@ -221,6 +241,24 @@ class TestValidatedSteps:
         assert out.tobytes() == out_before.tobytes()
 
     @pytest.mark.parametrize("step", VALIDATED_STEPS)
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("out", [
+        np.zeros((7, 7)), np.zeros((7, 7), np.complex64), np.zeros((6, 6), complex),
+        np.zeros((7, 8), complex), np.zeros(49, complex), [[0j] * 7] * 7,
+    ], ids=["float64", "complex64", "6x6", "7x8", "flat", "list"])
+    def test_an_out_that_is_not_a_complex_grid_is_refused_and_nothing_is_written(
+        self, step, observed, out
+    ):
+        grid = grid_of(random_state(np.random.default_rng(7), 42), 7)
+        before, out_before = grid.copy(), np.array(out)
+        kwargs = {"reader": reduced.read_strips} if observed else {}
+        with pytest.raises(ValueError, match=r"out must be a complex128 array of shape \(7, 7\)"):
+            VALIDATED_STEPS[step](grid, out=out, **kwargs)
+        assert grid.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(np.array(out), out_before)
+        assert np.array(out).dtype == out_before.dtype
+
+    @pytest.mark.parametrize("step", VALIDATED_STEPS)
     @pytest.mark.parametrize("layout", ["packed", "grid", "transposed"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.5, np.inf)])
     @pytest.mark.parametrize("edge", [(1, 2), (5, 3)])  # inside the marked block, or off it
@@ -362,6 +400,17 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"got {steps!r}"):
             core.evolve(core.initial_grid(5), config(5), steps)
 
+    def test_a_step_that_overflows_stops_the_evolution_at_the_next(self):
+        # finite amplitudes whose column sum overflows step into inf and nan,
+        # which the next step reads from its own column sums
+        state = grid_of(random_state(np.random.default_rng(5), 42), 7)
+        state[0, 4] = state[5, 4] = 1e308
+        cfg = config(7, 3, np.pi / 2)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(core.evolve(state, cfg, 1)).all()
+            with pytest.raises(ValueError, match="non-finite"):
+                core.evolve(state, cfg, 2)
+
     def test_grid_in_grid_out(self):
         rng = np.random.default_rng(5)
         cfg = config(9, 3, np.pi / 2)
@@ -425,7 +474,7 @@ class TestMarkedProbability:
     def test_all_weight_on_marked_edges(self):
         cfg = config(8, 3)
         state = np.zeros(56, complex)
-        idx = core.marked_edge_indices(cfg)
+        idx = np.flatnonzero(marked_phase_vector(8, range(3)) == 1j)
         state[idx] = 1 / np.sqrt(len(idx))
         assert core.marked_probability(grid_of(state, 8), cfg) == pytest.approx(1.0, abs=1e-14)
 

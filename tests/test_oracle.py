@@ -29,7 +29,14 @@ from scatterwalk.oracle import (
     uncopy_endpoints,
 )
 
-from helpers import grid_of, marked_phase_vector, operator_of, packed_of, random_state
+from helpers import (
+    edge_endpoint_arrays,
+    grid_of,
+    marked_phase_vector,
+    operator_of,
+    packed_of,
+    random_state,
+)
 
 
 class TestOracleFunction:
@@ -101,21 +108,25 @@ class TestKickback:
 class TestConjugatedOracle:
     def test_phases_are_exact(self):
         f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 3}))
-        marked_idx = core.edge_index(6, 0, 3)
-        plain_idx = core.edge_index(6, 1, 2)
-        assert conjugated_oracle(marked_idx, f) == 1j
-        assert conjugated_oracle(plain_idx, f) == 1 + 0j
+        assert conjugated_oracle((0, 3), f) == 1j
+        assert conjugated_oracle((1, 2), f) == 1 + 0j
 
     def test_double_application_gives_reflection_phase(self):
         f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 3}))
-        idx = core.edge_index(6, 3, 0)
-        assert conjugated_oracle(idx, f) * conjugated_oracle(idx, f) == -1 + 0j
+        assert conjugated_oracle((3, 0), f) * conjugated_oracle((3, 0), f) == -1 + 0j
 
     def test_matches_bulk_phase_vector(self):
         f = OracleFunction(n_vertices=7, marked_set=frozenset({1, 2, 5}))
         bulk = marked_phase_vector(7, f.marked_set)
-        for idx in range(core.n_edge_states(7)):
-            assert bulk[idx] == conjugated_oracle(idx, f)
+        sources, targets = edge_endpoint_arrays(7)
+        for idx, edge in enumerate(zip(sources.tolist(), targets.tolist())):
+            assert bulk[idx] == conjugated_oracle(edge, f)
+
+    @pytest.mark.parametrize("edge", [(3, 3), (0, 0), (0, 6), (6, 2), (-1, 2)])
+    def test_a_loop_or_an_out_of_range_edge_is_refused(self, edge):
+        f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 3}))
+        with pytest.raises(ValueError):
+            conjugated_oracle(edge, f)
 
 
 BLANK = -1  # full-tensor tests encode the blank register as label N

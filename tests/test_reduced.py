@@ -7,7 +7,6 @@ from scatterwalk import core, reduced
 from scatterwalk.core import WalkConfig
 from scatterwalk.reduced import (
     asymptotic_amplitudes,
-    embed,
     evolve_reduced,
     localization_rate,
     optimal_steps,
@@ -18,7 +17,6 @@ from scatterwalk.reduced import (
 )
 
 from helpers import (
-    edge_endpoint_arrays,
     grid_of,
     mp_search_components,
     naive_class_basis,
@@ -117,7 +115,7 @@ class TestReducedInitialState:
 
     @pytest.mark.parametrize("n, k", [(5, 2), (12, 4), (30, 3)])
     def test_embeds_to_uniform_state(self, n, k):
-        state = embed(reduced_initial_state(n, k), config(n, k))
+        state = naive_class_basis(n, range(k)) @ reduced_initial_state(n, k)
         assert np.abs(state - core.to_packed(core.initial_grid(n))).max() < 1e-13
 
 
@@ -142,24 +140,20 @@ class TestProjectEmbed:
         assert residual > 0.5
 
     def test_embed_unit_vectors(self):
+        # each class vector projects to its own unit component, residual-free
         cfg = config(7, 3)
-        marked_edges = core.marked_edge_indices(cfg)
-        state = embed(np.array([0, 0, 0, 1.0]), cfg)
-        assert np.abs(state[marked_edges] - 1 / np.sqrt(6)).max() < 1e-15
-        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-14)
-
-        state = embed(np.array([1.0, 0, 0, 0]), cfg)
-        sources, targets = edge_endpoint_arrays(7)
-        inward = (sources >= 3) & (targets < 3)  # unmarked source, marked target
-        np.testing.assert_allclose(state[inward], 1 / np.sqrt(12), atol=1e-15)
-        assert np.abs(state[~inward]).max() == 0.0
+        basis = naive_class_basis(7, range(3))
+        for c in range(4):
+            comps, residual = project(grid_of(basis[:, c], 7), cfg)
+            np.testing.assert_allclose(comps, np.eye(4)[c], atol=1e-15)
+            assert residual < 1e-15
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(11)
         cfg = config(9, 4)
         for _ in range(5):
             comps = random_state(rng, 4)
-            back, residual = project(grid_of(embed(comps, cfg), 9), cfg)
+            back, residual = project(grid_of(naive_class_basis(9, range(4)) @ comps, 9), cfg)
             np.testing.assert_allclose(back, comps, atol=1e-13)
             assert residual < 1e-13
 
@@ -167,7 +161,7 @@ class TestProjectEmbed:
         rng = np.random.default_rng(12)
         cfg = config(11, 3)
         comps = random_state(rng, 4)
-        state = embed(comps, cfg)
+        state = naive_class_basis(11, range(3)) @ comps
         assert core.marked_probability(grid_of(state, 11), cfg) == pytest.approx(
             abs(comps[3]) ** 2, abs=1e-12
         )

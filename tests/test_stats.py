@@ -18,7 +18,13 @@ from scatterwalk.stats import (
     sample_measurement,
 )
 
-from helpers import coverage_by_enumeration, coverage_by_replay, edge_index, packed_of
+from helpers import (
+    coverage_by_enumeration,
+    coverage_by_replay,
+    edge_index,
+    naive_class_basis,
+    packed_of,
+)
 
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
 P_SUCCESS_N100_K2 = 0.980108582511343
@@ -73,7 +79,7 @@ class TestSampleMeasurement:
 
     def test_marked_superposition_yields_only_marked_edges(self):
         cfg = config(9, 3)
-        state = reduced.embed(np.array([0, 0, 0, 1.0]), cfg)
+        state = naive_class_basis(9, cfg.marked_set)[:, 3]  # w4
         rng = np.random.default_rng(8)
         seen = set()
         for _ in range(600):
