@@ -317,7 +317,9 @@ def cmd_stats(args) -> int:
             need += _grid_bytes(args.n)
             purpose = "the full-state grids and the Monte Carlo draws"
         else:
-            need += 112 * math.comb(args.k, 2)  # the marked-pair table
+            # the marked-pair table: peak RSS of `--n 3010 --k 3000|6000 --runs 1 --trials 1`
+            # over the `--k 3` run is 18.0 B per marked pair; plus 25%, rounded up
+            need += 23 * math.comb(args.k, 2)
             purpose = "the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
                       purpose)

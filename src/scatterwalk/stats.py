@@ -12,7 +12,7 @@ serves the exact distribution and the expected runs to see every vertex.
 Only the measurement is random, so the full-engine Monte Carlo evolves
 the state once per configuration and draws every measurement of it in
 one batch.  Both Monte Carlo engines hand their draws, as the runs that
-found a marked edge and the pair each found, to one count with no loop
+found a marked edge and both endpoints of each, to one count with no loop
 over runs, and the success rate is taken from those draws in one place.
 The walk steps an N x N grid; only the measured state is packed, as a
 measurement draws a canonical edge index (`sample_measurement`), and every
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, fsum, isqrt
 
 import numpy as np
@@ -95,10 +94,9 @@ def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
     """(normalised |psi|^2, N) of a packed state of length N(N-1); states off
     normalization by more than 1e-8 are rejected."""
     state = np.asarray(state, dtype=np.complex128)
-    length = state.shape[0]
-    n = (1 + isqrt(1 + 4 * length)) // 2
-    if n * (n - 1) != length:
-        raise ValueError(f"state length {length} is not N(N-1) for any integer N")
+    n = (1 + isqrt(1 + 4 * state.size)) // 2
+    if state.ndim != 1 or n * (n - 1) != state.size:
+        raise ValueError(f"state of shape {state.shape} is not a packed vector of length N(N-1)")
     weights = np.abs(state) ** 2
     total = weights.sum()
     if abs(total - 1.0) > 1e-8:
@@ -151,35 +149,37 @@ def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None)
     )
 
 
-def _discovered_law(k_marked: int, found: np.ndarray, hits: np.ndarray) -> dict[int, float]:
+def _discovered_law(k_marked: int, found: np.ndarray, first: np.ndarray,
+                    second: np.ndarray) -> dict[int, float]:
     """Simulated law of the discovered-vertex count over trials.
 
-    `found` is the (trials, runs) mask of runs that measured a marked edge
-    (a, b), and `hits` holds a * K + b for each of them, in the row-major
-    order of `found`.  Every endpoint is marked seen in one fancy
-    assignment, so the cost does not depend on how the draws are split
-    into trials and runs.
+    `found` is the (trials, runs) mask of runs that measured a marked edge,
+    and `first` and `second` hold that edge's two endpoints for each of
+    them, in the row-major order of `found`.  Each endpoint array is marked
+    seen in one fancy assignment, so the cost does not depend on how the
+    draws are split into trials and runs.
     """
     trials, runs = found.shape
     seen = np.zeros((trials, k_marked), dtype=bool)
     rows = np.flatnonzero(found)
     rows //= runs  # the trial of each found run
-    seen[rows, hits // k_marked] = True
-    seen[rows, hits % k_marked] = True
+    seen[rows, first] = True
+    seen[rows, second] = True
     counts = np.bincount(seen.sum(axis=1), minlength=k_marked + 1).tolist()
     return {j: c / trials for j, c in enumerate(counts) if c}
 
 
 def _simulate_coverage_reduced(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Monte Carlo draws from the exact per-run measurement law.
 
     The evolved state stays inside the four-class subspace, so a run
     succeeds with probability |c4(n_opt)|^2 and, conditional on success,
     returns a uniformly random marked pair; that law is sampled directly
     instead of re-running the identical deterministic evolution per trial.
-    Returns (found, hits, oracle calls) as `_discovered_law` reads them.
+    A drawn pair indexes `np.triu_indices(K, 1)`, the pairs in lexicographic order.
+    Returns (found, first, second, oracle calls) as `_discovered_law` reads them.
     """
     n_opt = reduced.optimal_steps(n_vertices, k_marked)
     op = reduced.reduced_operator(n_vertices, k_marked, np.pi / 2)
@@ -187,42 +187,39 @@ def _simulate_coverage_reduced(
         reduced.reduced_initial_state(n_vertices, k_marked), op, n_opt
     )
     p_success = float(np.abs(final[3]) ** 2)
-    codes = np.array([a * k_marked + b for a, b in combinations(range(k_marked), 2)],
-                     dtype=np.intp)
+    first, second = np.triu_indices(k_marked, 1)
     success = rng.random((trials, runs)) < p_success
-    pair = rng.integers(0, len(codes), size=(trials, runs))
-    return success, codes[pair[success]], trials * runs * 2 * n_opt
+    pair = rng.integers(0, len(first), size=(trials, runs))[success]
+    return success, first[pair], second[pair], trials * runs * 2 * n_opt
 
 
 def _simulate_coverage_full(
     k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Monte Carlo draws measuring the oracle engine's evolved state.
 
     The state is evolved once.  Its first draw is one `sample_measurement`,
     which validates it; the other trials * runs - 1 are one batch from the
     same Born weights and generator, so every edge is the one a `run_search`
     per draw would measure.  Oracle calls are counted per search.  Returns
-    (found, hits, oracle calls) as `_discovered_law` reads them.
+    (found, first, second, oracle calls) as `_discovered_law` reads them.
     """
     config = WalkConfig(
         n_vertices=n_vertices, marked_set=frozenset(range(k_marked)), phase=np.pi / 2
     )
     ledger = QueryLedger()
     state, _ = _search_state(config, ledger)
-    first = sample_measurement(state, rng)
+    edge = sample_measurement(state, rng)
     weights, n = _born_probabilities(state)
     index = np.empty(trials * runs, dtype=np.intp)
-    index[0] = core.edge_index(n, *first)
+    index[0] = core.edge_index(n, *edge)
     index[1:] = rng.choice(len(weights), size=len(index) - 1, p=weights)
     source, target = core.edge_endpoints(n, index)
     del index
     found = (source < k_marked) & (target < k_marked)
-    hits = source[found]
-    del source
-    hits *= k_marked
-    hits += target[found]
-    return found.reshape(trials, runs), hits, trials * runs * ledger.quantum_calls
+    source = source[found]  # each decode is freed as its found part is taken
+    target = target[found]
+    return found.reshape(trials, runs), source, target, trials * runs * ledger.quantum_calls
 
 
 def coverage_distribution(
@@ -263,9 +260,10 @@ def coverage_distribution(
     simulate = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}.get(engine)
     if simulate is None:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
-    found, hits, calls = simulate(k_marked, runs, n_vertices, trials, _rng(seed))
+    found, first, second, calls = simulate(k_marked, runs, n_vertices, trials, _rng(seed))
     return CoverageDistribution(
-        runs=runs, probabilities=_discovered_law(k_marked, found, hits), mode="simulated",
+        runs=runs, probabilities=_discovered_law(k_marked, found, first, second),
+        mode="simulated",
         success_rate=int(np.count_nonzero(found)) / found.size, oracle_calls=calls,
     )
 

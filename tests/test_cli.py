@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scatterwalk.core as core
-from scatterwalk import oracle, reduced, stats, verify
+from scatterwalk import cli, oracle, reduced, stats, verify
 from scatterwalk.cli import main, parse_phase
 from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import QueryLedger
@@ -609,6 +609,37 @@ class TestStatsCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: seed=-1 must be >= 0\n"
         assert captured.out == ""
+
+    def test_pair_table_charge_covers_a_real_run(self, monkeypatch):
+        # the guard's charge for K = 3000 over K = 3 (in practice the pair
+        # table) must cover the same growth of peak RSS in fresh interpreters.
+        # Each is started by a small launcher, because a child's ru_maxrss
+        # also counts the process it was forked from, here pytest.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        launcher = ("import resource, subprocess, sys\n"
+                    "subprocess.run([sys.executable, '-m', 'scatterwalk.cli', *sys.argv[1:]],"
+                    " stdout=subprocess.DEVNULL, check=True)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+        class Charged(Exception):
+            pass
+
+        def charge(need, what, purpose):
+            raise Charged(need)
+
+        def peak_and_charge(k):
+            argv = ["stats", "--mode", "mc", "--engine", "reduced", "--n", "3010",
+                    "--k", str(k), "--runs", "1", "--trials", "1"]
+            peak_kib = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                                      capture_output=True, text=True, check=True).stdout
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_memory_guard", charge)
+                with pytest.raises(Charged) as charged:
+                    run_cli(*argv)
+            return int(peak_kib) * 1024, charged.value.args[0]
+
+        small, large = peak_and_charge(3), peak_and_charge(3000)
+        assert 0 < large[0] - small[0] <= large[1] - small[1]
 
 
 class TestModuleEntryPoint:

@@ -1,5 +1,6 @@
 """Measurement sampling, end-to-end runs, and coverage statistics."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -95,6 +96,13 @@ class TestSampleMeasurement:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="length"):
             sample_measurement(np.ones(31, complex) / np.sqrt(31), seed=0)
+        # only a 1-D packed vector is measured: not a scalar, the N x N grid
+        # every other function takes, a 3 x 3 grid, or a column of length 4 x 3
+        for state in (np.array(1.0 + 0j), core.initial_grid(6), np.ones((3, 3)) / 3,
+                      np.ones((12, 1)) / np.sqrt(12)):
+            with pytest.raises(ValueError, match=re.escape(f"state of shape {state.shape} "
+                                                           "is not a packed vector of length")):
+                sample_measurement(state, seed=0)
 
 
 class TestRunSearch:
@@ -238,7 +246,8 @@ class TestCoverageMonteCarlo:
         [(100, 3, 5000, 1, 1),  # one long trial
          (50, 2, 3, 2000, 2),   # K = 2, one marked pair
          (30, 28, 4, 500, 3),   # K = N - 2
-         (5, 2, 1, 3000, 4)],   # p_success about 0.51: many trials find nothing
+         (5, 2, 1, 3000, 4),    # p_success about 0.51: many trials find nothing
+         (700, 300, 2, 40, 5)],  # C(K,2) = 44,850 pairs
     )
     def test_reduced_engine_equals_a_replay_of_its_stream(self, n, k, runs, trials, seed):
         op = reduced.reduced_operator(n, k, np.pi / 2)
