@@ -313,14 +313,10 @@ def cmd_stats(args) -> int:
         # and up to 31 B per trial more at runs 1-4 (glibc's heap keeps that);
         # counted plus 25%, with the k B per trial of the discovered-vertex mask
         need = args.trials * (32 * args.runs + 37 + args.k)
+        purpose = "the Monte Carlo draws"
         if args.engine == "full":
             need += _grid_bytes(args.n)
             purpose = "the full-state grids and the Monte Carlo draws"
-        else:
-            # the marked-pair table: peak RSS of `--n 3010 --k 3000|6000 --runs 1 --trials 1`
-            # over the `--k 3` run is 18.0 B per marked pair; plus 25%, rounded up
-            need += 23 * math.comb(args.k, 2)
-            purpose = "the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
                       purpose)
     expected = stats.expected_runs_to_cover(args.k)  # refuses an oversized k at once

@@ -126,6 +126,8 @@ def n_edge_states(n_vertices: int) -> int:
 
 def edge_index(n_vertices: int, source: int, target: int) -> int:
     """Canonical index of the directed edge state (source -> target)."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (source, target)):
+        raise ValueError(f"edge endpoints must be integers, got ({source!r}, {target!r})")
     if source == target:
         raise ValueError(f"no edge state ({source}, {target}): endpoints coincide")
     if not (0 <= source < n_vertices and 0 <= target < n_vertices):

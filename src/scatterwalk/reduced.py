@@ -62,6 +62,10 @@ __all__ = [
 ASYMPTOTIC_QUALITY_THRESHOLD = 0.2
 
 def _check_range(n_vertices: int, k_marked: int) -> None:
+    for name, value in (("n_vertices", n_vertices), ("k_marked", k_marked)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"reduction needs an integer {name}, got {value!r}")
+    n_vertices, k_marked = int(n_vertices), int(k_marked)  # a narrow numpy int overflows N(N-1)
     if n_vertices < 4:
         raise ValueError(f"reduction needs n_vertices >= 4, got {n_vertices}")
     if n_vertices * (n_vertices - 1) > sys.float_info.max:
@@ -274,6 +278,7 @@ def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndar
     O(sqrt(x)), so a warning is emitted once sqrt(x) exceeds
     ASYMPTOTIC_QUALITY_THRESHOLD.
     """
+    steps = core.check_steps(steps)
     x = localization_rate(n_vertices, k_marked)
     if np.sqrt(x) > ASYMPTOTIC_QUALITY_THRESHOLD:
         warnings.warn(

@@ -178,7 +178,7 @@ def _simulate_coverage_reduced(
     succeeds with probability |c4(n_opt)|^2 and, conditional on success,
     returns a uniformly random marked pair; that law is sampled directly
     instead of re-running the identical deterministic evolution per trial.
-    A drawn pair indexes `np.triu_indices(K, 1)`, the pairs in lexicographic order.
+    A drawn pair index is decoded from the K-1 row starts, `starts[a]` the index of (a, a+1).
     Returns (found, first, second, oracle calls) as `_discovered_law` reads them.
     """
     n_opt = reduced.optimal_steps(n_vertices, k_marked)
@@ -187,10 +187,12 @@ def _simulate_coverage_reduced(
         reduced.reduced_initial_state(n_vertices, k_marked), op, n_opt
     )
     p_success = float(np.abs(final[3]) ** 2)
-    first, second = np.triu_indices(k_marked, 1)
+    starts = np.cumsum(np.arange(k_marked - 1, 0, -1)) - np.arange(k_marked - 1, 0, -1)
     success = rng.random((trials, runs)) < p_success
-    pair = rng.integers(0, len(first), size=(trials, runs))[success]
-    return success, first[pair], second[pair], trials * runs * 2 * n_opt
+    pair = rng.integers(0, comb(k_marked, 2), size=(trials, runs))[success]
+    first = np.searchsorted(starts, pair, side="right") - 1
+    pair -= starts[first] - first - 1  # each pair index becomes its second endpoint
+    return success, first, pair, trials * runs * 2 * n_opt
 
 
 def _simulate_coverage_full(

@@ -78,6 +78,15 @@ class TestIndexing:
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError):
             core.edge_index(5, 2, 2)
+        # float and bool endpoints are refused; numpy integers are endpoints
+        with pytest.raises(ValueError, match=r"^edge endpoints must be integers, got \(1\.5, 2\)$"):
+            core.edge_index(5, 1.5, 2)
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            oracle.prepare_composite(5, (1.5, 2))
+        for bad in ((True, 2), (2, False), (np.float64(1), 2), (1, np.bool_(True))):
+            with pytest.raises(ValueError, match="edge endpoints must be integers"):
+                core.edge_index(5, *bad)
+        assert core.edge_index(5, np.int64(1), np.uint8(2)) == core.edge_index(5, 1, 2) == 5
         with pytest.raises(ValueError):
             core.edge_index(5, 0, 5)
         with pytest.raises(ValueError):

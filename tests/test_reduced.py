@@ -1,5 +1,8 @@
 """Reduction to the four-class basis: operator, projection, spectral evolution."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,10 +70,31 @@ class TestReducedOperator:
                     m = reduced_operator(n, k, phase)
                     assert np.abs(m.conj().T @ m - np.eye(4)).max() < 1e-12
 
-    @pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (6, 5), (6, 6), (3, 2)])
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (6, 5), (6, 6), (3, 2),
+                                      (10, 2.5), (10.0, 3), (10, np.float64(3))])
     def test_rejects_degenerate_class_sizes(self, n, k):
         with pytest.raises(ValueError):
             reduced_operator(n, k, 0.0)
+
+    @pytest.mark.parametrize("n, k, name, value", [
+        (10, 2.5, "k_marked", 2.5), (10.0, 3, "n_vertices", 10.0),
+        (10, np.float64(3), "k_marked", np.float64(3)), (True, 2, "n_vertices", True),
+        (10, True, "k_marked", True), ("10", 2, "n_vertices", "10"),
+    ])
+    def test_non_integer_sizes_are_refused_by_name(self, n, k, name, value):
+        message = re.escape(f"reduction needs an integer {name}, got {value!r}")
+        for function in (optimal_steps, localization_rate, reduced_initial_state):
+            with pytest.raises(ValueError, match=message):
+                function(n, k)
+        with pytest.raises(ValueError, match=message):
+            reduced_operator(n, k, 0.0)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # N(N-1) must not overflow an int32 N
+            np.testing.assert_array_equal(reduced_operator(np.int32(50000), np.uint16(3), 0.5),
+                                          reduced_operator(50000, 3, 0.5))
+            assert optimal_steps(np.int32(50000), np.int8(2)) == optimal_steps(50000, 2)
 
     @pytest.mark.parametrize("n", [9 * 10**18, 10**21, 10**150])
     def test_unitary_past_int64(self, n):
@@ -316,6 +340,11 @@ class TestAsymptotics:
     def test_warns_when_x_is_large(self):
         with pytest.warns(UserWarning, match="sqrt"):
             asymptotic_amplitudes(10, 3, 5)
+
+    @pytest.mark.parametrize("steps", [float("nan"), float("inf"), -float("inf"), True, 2.5, -3])
+    def test_refuses_the_step_counts_evolve_reduced_refuses(self, steps):
+        with pytest.raises(ValueError, match="steps must be a nonnegative integer"):
+            asymptotic_amplitudes(1000, 2, steps)
 
     def test_error_to_exact_decreases_with_n(self):
         for n, frozen in ASYMPTOTIC_ERRORS.items():
