@@ -147,7 +147,7 @@ def _parse_marked(args, n: int) -> frozenset[int]:
     """Resolve --k / --marked-list into a vertex set."""
     if args.marked_list is not None:
         try:
-            marked = frozenset(int(v) for v in args.marked_list.split(","))
+            marked = frozenset(map(int, args.marked_list.split(",")))
         except ValueError:
             raise ValueError(f"marked-list {args.marked_list!r} is not a comma-separated "
                              "list of integers") from None
@@ -201,7 +201,7 @@ def _step_table_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[
         else:
             grid, record = core.apply_step(grid, config, out=grid, reader=reduced.read_strips)
         comps[i], residual[i], p_marked[i], norm[i] = record
-    record = reduced.observe(grid, core.marked_vertices(config.marked_set))
+    record = reduced.observe(grid, config.marked)
     comps[steps], residual[steps], p_marked[steps], norm[steps] = record
     return _step_table(np.abs(comps) ** 2, p_marked, residual, norm), ledger.quantum_calls
 

@@ -18,6 +18,14 @@ without its diagonal, remain only where the edge basis is the point:
 `edge_endpoints` (of one index or an integer array) are the package's only
 encoder and decoder of that order.
 
+Input contract.  Every graph size, vertex, count and step number in the
+package is read by `check_int`, which returns a Python int (so a narrow
+numpy integer cannot overflow N(N-1)) and refuses a bool, a float or any
+other non-integer, and a value below the bound, with one `ValueError`
+naming the parameter.  A marked set is read once, by `check_marked`, into
+a frozenset and the sorted, read-only vertex array `marked` that every
+marked block and class index derives from.
+
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
 reflection into the transmission by r + t = 1.  The kernel writes
@@ -58,8 +66,8 @@ __all__ = [
     "to_packed",
     "check_grid",
     "initial_grid",
-    "check_steps",
-    "marked_vertices",
+    "check_int",
+    "check_marked",
     "strip_rows",
     "step_grid",
     "apply_step",
@@ -69,29 +77,43 @@ __all__ = [
 ]
 
 
+def check_int(name: str, value, low: int) -> int:
+    """`value` as a Python int; refuses a bool, a float or any other
+    non-integer, and a value below `low`, naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_marked(n_vertices: int, vertices) -> tuple[frozenset[int], np.ndarray]:
+    """(membership set, sorted read-only intp array) of marked vertices in 0..N-1."""
+    members = frozenset(check_int("marked vertex", v, 0) for v in vertices)
+    if members and max(members) >= n_vertices:
+        raise ValueError(f"marked vertices must lie in 0..{n_vertices - 1}: {sorted(members)}")
+    marked = np.array(sorted(members), dtype=np.intp)
+    marked.setflags(write=False)
+    return members, marked
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """Walk parameters: graph size N, marked vertex set, edge phase phi.
 
     The marked set may be empty (unmarked walk) or a singleton, in which
     case no edge is marked and the phase never fires.  Vertices are the
-    integers 0..N-1.
+    integers 0..N-1; `marked` is their sorted array.
     """
 
     n_vertices: int
     marked_set: frozenset[int] = field(default_factory=frozenset)
     phase: float = 0.0
+    marked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.n_vertices
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise TypeError(f"n_vertices must be an integer, got {n!r}")
-        if n < 3:
-            raise ValueError(f"n_vertices must be >= 3, got {n}")
-        marked = frozenset(int(v) for v in self.marked_set)
-        if any(v < 0 or v >= n for v in marked):
-            raise ValueError(f"marked vertices must lie in 0..{n - 1}: {sorted(marked)}")
-        object.__setattr__(self, "marked_set", marked)
+        n = check_int("n_vertices", self.n_vertices, 3)
+        object.__setattr__(self, "n_vertices", n)
+        for name, value in zip(("marked_set", "marked"), check_marked(n, self.marked_set)):
+            object.__setattr__(self, name, value)
         phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError(f"phase must be finite, got {self.phase!r}")
@@ -114,9 +136,7 @@ def coefficients(n_vertices: int) -> ScatteringCoefficients:
 
     Rejects N < 3: a degree-1 vertex has no nontrivial scattering.
     """
-    if n_vertices < 3:
-        raise ValueError(f"need n_vertices >= 3, got {n_vertices}")
-    t = 2.0 / (n_vertices - 1)
+    t = 2.0 / (check_int("n_vertices", n_vertices, 3) - 1)
     return ScatteringCoefficients(t=t, r=1.0 - t)
 
 
@@ -126,11 +146,11 @@ def n_edge_states(n_vertices: int) -> int:
 
 def edge_index(n_vertices: int, source: int, target: int) -> int:
     """Canonical index of the directed edge state (source -> target)."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in (source, target)):
-        raise ValueError(f"edge endpoints must be integers, got ({source!r}, {target!r})")
+    n_vertices = check_int("n_vertices", n_vertices, 2)
+    source, target = check_int("source", source, 0), check_int("target", target, 0)
     if source == target:
         raise ValueError(f"no edge state ({source}, {target}): endpoints coincide")
-    if not (0 <= source < n_vertices and 0 <= target < n_vertices):
+    if source >= n_vertices or target >= n_vertices:
         raise ValueError(f"endpoints ({source}, {target}) out of range for N={n_vertices}")
     return source * (n_vertices - 1) + (target if target < source else target - 1)
 
@@ -141,7 +161,7 @@ def edge_endpoints(n_vertices: int, index):
     not an integer, and one outside 0..N(N-1)-1, naming the smallest or
     largest; an array's range is read by two reductions, so a batch of
     draws is decoded without a mask."""
-    index = np.asarray(index)
+    n_vertices, index = check_int("n_vertices", n_vertices, 2), np.asarray(index)
     if not np.issubdtype(index.dtype, np.integer):
         raise ValueError(f"edge indices must be integers, got {index.dtype}")
     low, high = (index.min(), index.max()) if index.size else (0, 0)
@@ -194,25 +214,11 @@ def _check_finite(state: np.ndarray) -> None:
 
 def initial_grid(n_vertices: int) -> np.ndarray:
     """Equal superposition of all N(N-1) directed edge states, as an N x N grid."""
-    if n_vertices < 3:
-        raise ValueError(f"need n_vertices >= 3, got {n_vertices}")
+    n_vertices = check_int("n_vertices", n_vertices, 3)
     grid = np.full((n_vertices, n_vertices), 1.0 / np.sqrt(n_edge_states(n_vertices)),
                    dtype=np.complex128)
     np.fill_diagonal(grid, 0.0)
     return grid
-
-
-def check_steps(steps) -> int:
-    """`steps` as an int; rejects bools, NaN, infinities, fractions and negatives."""
-    if (isinstance(steps, (bool, np.bool_)) or steps != steps or abs(steps) == math.inf
-            or steps < 0 or steps != int(steps)):
-        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
-    return int(steps)
-
-
-def marked_vertices(marked_set) -> np.ndarray:
-    """Sorted marked-vertex array: every marked block and class index derives from it."""
-    return np.array(sorted(marked_set), dtype=np.intp)
 
 
 def strip_rows(n_vertices: int) -> int:
@@ -300,8 +306,7 @@ def apply_step(
     returns (result, record).
     """
     grid = check_grid(state, config.n_vertices, check_finite=False)
-    return step_grid(grid, marked_vertices(config.marked_set), cmath.exp(1j * config.phase),
-                     out=out, reader=reader)
+    return step_grid(grid, config.marked, cmath.exp(1j * config.phase), out=out, reader=reader)
 
 
 def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:
@@ -309,18 +314,17 @@ def evolve(state: np.ndarray, config: WalkConfig, steps: int) -> np.ndarray:
 
     The grid is checked on entry; a step that overflowed into non-finite
     amplitudes is refused by the next one."""
-    steps = check_steps(steps)
+    steps = check_int("steps", steps, 0)
     grid = check_grid(state, config.n_vertices).copy()
-    marked, factor = marked_vertices(config.marked_set), cmath.exp(1j * config.phase)
+    factor = cmath.exp(1j * config.phase)
     for _ in range(steps):
-        grid = step_grid(grid, marked, factor, out=grid)
+        grid = step_grid(grid, config.marked, factor, out=grid)
     return grid
 
 
 def marked_probability(state: np.ndarray, config: WalkConfig) -> float:
     """Probability of measuring the walker (a grid) on an edge inside the marked set."""
-    grid = check_grid(state, config.n_vertices)
-    marked = marked_vertices(config.marked_set)
+    grid, marked = check_grid(state, config.n_vertices), config.marked
     return float(np.sum(np.abs(grid[marked[:, None], marked]) ** 2))
 
 
@@ -337,17 +341,16 @@ def dense_step_operator(config: WalkConfig) -> np.ndarray:
     t, r = coefficients(n)
     dim = n_edge_states(n)
     op = np.zeros((dim, dim), dtype=np.complex128)
+    index = [[edge_index(n, a, b) if a != b else None for b in range(n)] for a in range(n)]
     for k in range(n):
         for l in range(n):
             if k == l:
                 continue
-            col = edge_index(n, k, l)
             for m in range(n):
-                if m == l:
-                    continue
-                op[edge_index(n, l, m), col] = -r if m == k else t
+                if m != l:
+                    op[index[l][m], index[k][l]] = -r if m == k else t
     if config.k_marked >= 2 and config.phase != 0.0:
-        marked = marked_vertices(config.marked_set)
+        marked = config.marked
         phases = np.ones((n, n), dtype=np.complex128)
         phases[marked[:, None], marked] = cmath.exp(1j * config.phase)
         diag = to_packed(phases)

@@ -19,7 +19,9 @@ the circuit (a basis edge, two vertex labels or blanks, a 4-amplitude
 ancilla); the full tensor product only ever needs to be materialized in
 verification suites.  `oracle_step` steps an N x N grid only, and
 `conjugated_oracle` names its basis edge by its (source, target) pair, as
-`prepare_composite` does; no packed index is read here.
+`prepare_composite` does; no packed index is read here.  Sizes, vertices
+and queries are read by `core.check_int`, and the marked set by
+`core.check_marked`, as the walk's own configuration reads them.
 """
 
 from __future__ import annotations
@@ -54,21 +56,22 @@ class OracleFunction:
 
     f(k, l) = 1 iff both k and l are marked; symmetric, and defined on the
     diagonal by the same rule even though walk paths never query it.
+    `marked` is the sorted array of the marked set.
     """
 
     n_vertices: int
     marked_set: frozenset[int] = field(default_factory=frozenset)
+    marked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        marked = frozenset(int(v) for v in self.marked_set)
-        if any(v < 0 or v >= self.n_vertices for v in marked):
-            raise ValueError(
-                f"marked vertices must lie in 0..{self.n_vertices - 1}: {sorted(marked)}"
-            )
-        object.__setattr__(self, "marked_set", marked)
+        n = core.check_int("n_vertices", self.n_vertices, 3)
+        object.__setattr__(self, "n_vertices", n)
+        for name, value in zip(("marked_set", "marked"), core.check_marked(n, self.marked_set)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, k: int, l: int) -> int:
-        if not (0 <= k < self.n_vertices and 0 <= l < self.n_vertices):
+        k, l = core.check_int("k", k, 0), core.check_int("l", l, 0)
+        if k >= self.n_vertices or l >= self.n_vertices:
             raise ValueError(f"query ({k}, {l}) out of range for N={self.n_vertices}")
         return int(k in self.marked_set and l in self.marked_set)
 
@@ -177,8 +180,7 @@ def oracle_step(
     e^{i pi f/2}, so the step equals the phase-pi/2 walk step without being
     built from it.
     """
-    grid = core.check_grid(state, f.n_vertices, check_finite=False)
-    marked = core.marked_vertices(f.marked_set)
+    grid, marked = core.check_grid(state, f.n_vertices, check_finite=False), f.marked
     kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
     result = core.step_grid(grid, marked, kickback, out=out, reader=reader)
     ledger.quantum_calls += 2
@@ -192,10 +194,9 @@ def classical_query_baseline(n_vertices: int, k_marked: int) -> float:
     M = C(N,2) pairs against a uniformly random marked set with G = C(K,2)
     marked pairs.  Querying pairs in a uniformly random order has the same
     law: in both, the marked pairs hold a uniform random G-subset of the M
-    positions.
+    positions.  Refuses K < 2, for which no marked pair exists.
     """
-    if k_marked < 2:
-        raise ValueError("no marked pair exists for k_marked < 2; search unsatisfiable")
-    if k_marked > n_vertices:
-        raise ValueError(f"k_marked={k_marked} exceeds n_vertices={n_vertices}")
-    return (comb(n_vertices, 2) + 1) / (comb(k_marked, 2) + 1)
+    n, k = core.check_int("n_vertices", n_vertices, 2), core.check_int("k_marked", k_marked, 2)
+    if k > n:
+        raise ValueError(f"k_marked={k} exceeds n_vertices={n}")
+    return (comb(n, 2) + 1) / (comb(k, 2) + 1)

@@ -27,6 +27,9 @@ strips along the grid's memory rows, so no leftover grid is built;
 `observe` hands it the strips of a grid at rest, and
 `core.step_grid(..., reader=read_strips)` those of the grid it steps, each
 just before writing over it.  `project` validates a grid for `observe`.
+N, K and step counts are read by `core.check_int`, so N >= 4, K >= 2 and
+steps >= 0 are Python ints here; K <= N-2 and N(N-1) within the float
+range are checked on top.
 No function here takes or returns a packed vector; the class basis in the
 packed edge order is built only where it is checked against the dense step
 operator (`verify`).
@@ -61,21 +64,17 @@ __all__ = [
 #: warn about the closed-form asymptotics beyond this value of sqrt(x)
 ASYMPTOTIC_QUALITY_THRESHOLD = 0.2
 
-def _check_range(n_vertices: int, k_marked: int) -> None:
-    for name, value in (("n_vertices", n_vertices), ("k_marked", k_marked)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"reduction needs an integer {name}, got {value!r}")
-    n_vertices, k_marked = int(n_vertices), int(k_marked)  # a narrow numpy int overflows N(N-1)
-    if n_vertices < 4:
-        raise ValueError(f"reduction needs n_vertices >= 4, got {n_vertices}")
-    if n_vertices * (n_vertices - 1) > sys.float_info.max:
+def _check_range(n_vertices: int, k_marked: int) -> tuple[int, int]:
+    n, k = core.check_int("n_vertices", n_vertices, 4), core.check_int("k_marked", k_marked, 2)
+    if n * (n - 1) > sys.float_info.max:
         raise ValueError(f"reduction needs N(N-1) <= {sys.float_info.max:.3g}, "
-                         f"got n_vertices={n_vertices}")
-    if not 2 <= k_marked <= n_vertices - 2:
+                         f"got n_vertices={n}")
+    if k > n - 2:
         raise ValueError(
             f"reduction needs 2 <= k_marked <= n_vertices - 2, "
-            f"got k_marked={k_marked} with n_vertices={n_vertices}"
+            f"got k_marked={k} with n_vertices={n}"
         )
+    return n, k
 
 
 def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray:
@@ -85,11 +84,10 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray
     cross classes w1/w2 with w3 and w4, and every transition into, out of,
     or back inside the marked class picks up e^{i*phi} or e^{2i*phi}.
     """
-    _check_range(n_vertices, k_marked)
+    n, k = _check_range(n_vertices, k_marked)
     phase = float(phase)
     if not math.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase!r}")
-    n, k = n_vertices, k_marked
     t, r = core.coefficients(n)
     e = np.exp(1j * phase)
     m = np.zeros((4, 4), dtype=np.complex128)
@@ -107,8 +105,7 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray
 
 def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
     """Uniform edge superposition expressed in the (w1..w4) basis."""
-    _check_range(n_vertices, k_marked)
-    n, k = n_vertices, k_marked
+    n, k = _check_range(n_vertices, k_marked)
     dim = n * (n - 1)
     return np.array(
         [
@@ -200,7 +197,7 @@ def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
     """
     _check_range(config.n_vertices, config.k_marked)
     grid = core.check_grid(state, config.n_vertices)
-    comps, residual, _, _ = observe(grid, core.marked_vertices(config.marked_set))
+    comps, residual, _, _ = observe(grid, config.marked)
     return comps, residual
 
 
@@ -248,7 +245,7 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
     Computed through the spectral decomposition, each eigenvalue's power
     taken as a phase, so the cost does not grow with the step count.
     """
-    steps, state = core.check_steps(steps), _reduced_state(state)
+    steps, state = core.check_int("steps", steps, 0), _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
     coeff = vecs.conj().T @ state
     return vecs @ (_spectral_powers(eigenvalues, steps) * coeff)
@@ -257,7 +254,7 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
 def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndarray:
     """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
     the same spectral phases as `evolve_reduced`, and validated as it is."""
-    horizon, state = core.check_steps(horizon), _reduced_state(state)
+    horizon, state = core.check_int("horizon", horizon, 0), _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
     coeff = vecs.conj().T @ state
     powers = _spectral_powers(eigenvalues, np.arange(horizon + 1))
@@ -267,8 +264,8 @@ def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndar
 
 def localization_rate(n_vertices: int, k_marked: int) -> float:
     """The rate x = sqrt(K(K-1))/(N-1) driving the w3 -> w4 rotation."""
-    _check_range(n_vertices, k_marked)
-    return math.sqrt(k_marked * (k_marked - 1)) / (n_vertices - 1)
+    n, k = _check_range(n_vertices, k_marked)
+    return math.sqrt(k * (k - 1)) / (n - 1)
 
 
 def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndarray:
@@ -278,7 +275,7 @@ def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndar
     O(sqrt(x)), so a warning is emitted once sqrt(x) exceeds
     ASYMPTOTIC_QUALITY_THRESHOLD.
     """
-    steps = core.check_steps(steps)
+    steps = core.check_int("steps", steps, 0)
     x = localization_rate(n_vertices, k_marked)
     if np.sqrt(x) > ASYMPTOTIC_QUALITY_THRESHOLD:
         warnings.warn(

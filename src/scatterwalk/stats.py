@@ -246,10 +246,7 @@ def coverage_distribution(
     trials * runs measurements of it in one batch, edge for edge those of
     one `run_search` per draw.
     """
-    if k_marked < 2:
-        raise ValueError(f"coverage needs k_marked >= 2, got {k_marked}")
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    k_marked, runs = core.check_int("k_marked", k_marked, 2), core.check_int("runs", runs, 1)
     if mode == "exact":
         dist = _coverage_chain(k_marked, runs)
         return CoverageDistribution(runs=runs, probabilities=dist, mode="idealized")
@@ -257,8 +254,7 @@ def coverage_distribution(
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if n_vertices is None:
         raise ValueError("mc mode requires n_vertices")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = core.check_int("trials", trials, 1)
     simulate = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}.get(engine)
     if simulate is None:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
@@ -315,8 +311,7 @@ def expected_runs_to_cover(k_marked: int) -> Fraction:
     once.  Exact result; a K whose work exceeds MAX_CHAIN_WORK is refused
     before any arithmetic.
     """
-    if k_marked < 2:
-        raise ValueError(f"coverage needs k_marked >= 2, got {k_marked}")
+    k_marked = core.check_int("k_marked", k_marked, 2)
     _check_chain_work(k_marked, k_marked, 1, f"k={k_marked}")
     pairs = comb(k_marked, 2)
     # e_{j+1} = num / den and e_{j+2} = num_next / (den / leave)

@@ -79,12 +79,12 @@ class TestIndexing:
         with pytest.raises(ValueError):
             core.edge_index(5, 2, 2)
         # float and bool endpoints are refused; numpy integers are endpoints
-        with pytest.raises(ValueError, match=r"^edge endpoints must be integers, got \(1\.5, 2\)$"):
+        with pytest.raises(ValueError, match=r"^source must be an integer >= 0, got 1\.5$"):
             core.edge_index(5, 1.5, 2)
-        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+        with pytest.raises(ValueError, match="source must be an integer >= 0"):
             oracle.prepare_composite(5, (1.5, 2))
         for bad in ((True, 2), (2, False), (np.float64(1), 2), (1, np.bool_(True))):
-            with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            with pytest.raises(ValueError, match="(source|target) must be an integer >= 0"):
                 core.edge_index(5, *bad)
         assert core.edge_index(5, np.int64(1), np.uint8(2)) == core.edge_index(5, 1, 2) == 5
         with pytest.raises(ValueError):
@@ -500,6 +500,21 @@ class TestWalkConfig:
     def test_rejects_out_of_range_marked(self):
         with pytest.raises(ValueError):
             WalkConfig(n_vertices=5, marked_set=frozenset({0, 5}))
+
+    @pytest.mark.parametrize("marked", [{1.5, 2.7}, {True, 3}, {np.bool_(True), 3}, {2.0, 3}])
+    def test_refuses_a_float_or_bool_in_the_marked_set(self, marked):
+        # each was truncated by int(v) before: {1.5, 2.7} became {1, 2}
+        with pytest.raises(ValueError, match="^marked vertex must be an integer >= 0, got"):
+            WalkConfig(10, marked, 0.5)
+
+    def test_marked_array_is_sorted_read_only_and_left_out_of_equality(self):
+        cfg = WalkConfig(10, {7, np.int64(2), 5}, 0.5)
+        assert cfg.marked.tolist() == [2, 5, 7] and cfg.marked.dtype == np.intp
+        assert not cfg.marked.flags.writeable
+        assert all(type(v) is int for v in cfg.marked_set)
+        assert cfg == WalkConfig(10, {2, 5, 7}, 0.5)
+        assert hash(cfg) == hash(WalkConfig(10, {2, 5, 7}, 0.5))
+        assert "marked=" not in repr(cfg)
 
     def test_rejects_tiny_graph(self):
         with pytest.raises(ValueError):

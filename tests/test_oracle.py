@@ -62,6 +62,21 @@ class TestOracleFunction:
         with pytest.raises(ValueError):
             f(0, 4)
 
+    def test_refuses_non_integer_sizes_vertices_and_queries(self):
+        # each was accepted before: 10.5 as N, {1.5, 2.7} as {1, 2}, f(1.5, 2) as 0
+        for n, name in ((10.5, "n_vertices"), (2, "n_vertices"), (True, "n_vertices")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer >= 3"):
+                OracleFunction(n, frozenset({0, 1}))
+        for marked in ({1.5, 2.7}, {True, 3}):
+            with pytest.raises(ValueError, match="^marked vertex must be an integer >= 0"):
+                OracleFunction(10, marked)
+        f = OracleFunction(np.int16(10), frozenset({np.int64(3), 1}))
+        assert type(f.n_vertices) is int and f.marked.tolist() == [1, 3]
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got 1\.5$"):
+            f(1.5, 2)
+        with pytest.raises(ValueError, match=r"^l must be an integer >= 0, got True$"):
+            f(1, True)
+
 
 class TestKickback:
     def test_ready_ancilla_is_exact(self):

@@ -82,7 +82,8 @@ class TestReducedOperator:
         (10, True, "k_marked", True), ("10", 2, "n_vertices", "10"),
     ])
     def test_non_integer_sizes_are_refused_by_name(self, n, k, name, value):
-        message = re.escape(f"reduction needs an integer {name}, got {value!r}")
+        low = {"n_vertices": 4, "k_marked": 2}[name]
+        message = re.escape(f"{name} must be an integer >= {low}, got {value!r}")
         for function in (optimal_steps, localization_rate, reduced_initial_state):
             with pytest.raises(ValueError, match=message):
                 function(n, k)
@@ -343,7 +344,7 @@ class TestAsymptotics:
 
     @pytest.mark.parametrize("steps", [float("nan"), float("inf"), -float("inf"), True, 2.5, -3])
     def test_refuses_the_step_counts_evolve_reduced_refuses(self, steps):
-        with pytest.raises(ValueError, match="steps must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="steps must be an integer >= 0"):
             asymptotic_amplitudes(1000, 2, steps)
 
     def test_error_to_exact_decreases_with_n(self):

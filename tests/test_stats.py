@@ -1,6 +1,7 @@
 """Measurement sampling, end-to-end runs, and coverage statistics."""
 
 import re
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -149,6 +150,15 @@ class TestRunSearch:
         assert state.shape == (132,)
         expected = packed_of(core.evolve(core.initial_grid(12), cfg, reduced.optimal_steps(12, 3)))
         assert np.abs(state - expected).max() < 1e-13
+
+    def test_narrow_numpy_graph_size_searches_as_a_python_int(self):
+        # N(N-1) of an int16 N = 300 overflows int16 unless N is read as an int
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = WalkConfig(np.int16(300), {0, 1}, np.pi / 2)
+            assert type(cfg.n_vertices) is int
+            assert np.linalg.norm(core.initial_grid(cfg.n_vertices)) == pytest.approx(1, abs=1e-12)
+            assert run_search(cfg, seed=1) == run_search(config(300, 2), seed=1)
 
     def test_requires_half_pi_phase(self):
         with pytest.raises(ValueError, match="pi/2"):
