@@ -147,10 +147,11 @@ def _parse_marked(args, n: int) -> frozenset[int]:
     """Resolve --k / --marked-list into a vertex set."""
     if args.marked_list is not None:
         try:
-            marked = frozenset(map(int, args.marked_list.split(",")))
+            vertices = [int(v) for v in args.marked_list.split(",")]
         except ValueError:
             raise ValueError(f"marked-list {args.marked_list!r} is not a comma-separated "
                              "list of integers") from None
+        marked, _ = core.check_marked(n, vertices)
         if args.k is not None and args.k != len(marked):
             raise ValueError(f"k={args.k} inconsistent with marked-list of size {len(marked)}")
     else:
@@ -159,8 +160,6 @@ def _parse_marked(args, n: int) -> frozenset[int]:
             raise ValueError(f"k={k} out of range for n={n}")
         _memory_guard(k * 160, f"k={k}", "the marked set")  # set, sorted list, JSON text
         marked = frozenset(range(k))
-    if any(v < 0 or v >= n for v in marked):
-        raise ValueError(f"marked-list contains vertices outside 0..{n - 1}")
     return marked
 
 
@@ -209,19 +208,17 @@ def _step_table_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
     """(step table, summary) for one graph size."""
     k, engine = len(marked), args.engine
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"k={k} must satisfy 2 <= k <= n-2 for step records (n={n})")
+    n_opt = reduced.optimal_steps(n, k)  # refuses N < 4 and K outside 2..N-2
     if args.steps == "auto":
         if phase != math.pi / 2:
             raise ValueError("steps=auto requires phase pi/2")
-        steps = reduced.optimal_steps(n, k)
+        steps = n_opt
     else:
         try:
             steps = int(args.steps)
         except ValueError:
             raise ValueError(f"steps must be an integer or 'auto', got {args.steps!r}") from None
-        if steps < 0:
-            raise ValueError(f"steps must be >= 0, got {steps}")
+        steps = core.check_int("steps", steps, 0)
     if engine == "oracle" and phase != math.pi / 2:
         raise ValueError("engine=oracle implements phase pi/2 only")
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
@@ -237,7 +234,7 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
         "k": k,
         "engine": engine,
         "steps": steps,
-        "n_opt": reduced.optimal_steps(n, k),
+        "n_opt": n_opt,
         "p_final": table["p_marked"][-1],
         "p_peak": max(table["p_marked"]),
         "quantum_calls": quantum_calls,
@@ -252,8 +249,7 @@ def cmd_run(args) -> int:
         raise ValueError("exactly one of --n / --n-range is required")
 
     if args.n is not None:
-        if args.n < 3:
-            raise ValueError(f"n={args.n} must be >= 3")
+        core.check_int("n_vertices", args.n, 4)  # before the marked set and grids are sized
         marked = _parse_marked(args, args.n)
         if args.engine != "reduced":
             _grid_guard(args.n)
@@ -268,8 +264,8 @@ def cmd_run(args) -> int:
             start, stop, stride = (int(p) for p in args.n_range.split(":"))
         except ValueError:
             raise ValueError(f"n-range {args.n_range!r} is not of the form a:b:step") from None
-        if start < 3 or stop < start or stride < 1:
-            raise ValueError(f"n-range {args.n_range!r} must satisfy 3 <= a <= b, step >= 1")
+        if start < 4 or stop < start or stride < 1:
+            raise ValueError(f"n-range {args.n_range!r} must satisfy 4 <= a <= b, step >= 1")
         if args.marked_list is not None:
             raise ValueError("marked-list cannot be combined with a sweep; use --k")
         sizes = range(start, stop + 1, stride)
@@ -299,10 +295,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.k < 2:
-        raise ValueError(f"k={args.k} must be >= 2")
-    if args.runs < 1:
-        raise ValueError(f"runs={args.runs} must be >= 1")
+    # runs and an mc k above n: refused before expected_runs_to_cover's work at a large k
+    core.check_int("runs", args.runs, 1)
     if args.mode == "mc":
         if args.n is None:
             raise ValueError("mc mode requires --n")

@@ -22,9 +22,10 @@ Input contract.  Every graph size, vertex, count and step number in the
 package is read by `check_int`, which returns a Python int (so a narrow
 numpy integer cannot overflow N(N-1)) and refuses a bool, a float or any
 other non-integer, and a value below the bound, with one `ValueError`
-naming the parameter.  A marked set is read once, by `check_marked`, into
-a frozenset and the sorted, read-only vertex array `marked` that every
-marked block and class index derives from.
+naming the parameter (`check_grid`, `to_grid` and `n_edge_states` too,
+at the edge order's bound N >= 2).  A marked set is read once, by
+`check_marked`, into a frozenset and the sorted, read-only vertex array
+`marked` that every marked block and class index derives from.
 
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
@@ -141,6 +142,7 @@ def coefficients(n_vertices: int) -> ScatteringCoefficients:
 
 
 def n_edge_states(n_vertices: int) -> int:
+    n_vertices = check_int("n_vertices", n_vertices, 2)
     return n_vertices * (n_vertices - 1)
 
 
@@ -175,8 +177,8 @@ def edge_endpoints(n_vertices: int, index):
 def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
     """Packed vector of N(N-1) amplitudes in canonical order -> a fresh N x N
     grid A[m, l] = amplitude(m -> l); a non-finite amplitude is refused."""
-    state = np.asarray(state, dtype=np.complex128)
-    n, dim = n_vertices, n_edge_states(n_vertices)
+    n = check_int("n_vertices", n_vertices, 2)
+    state, dim = np.asarray(state, dtype=np.complex128), n_edge_states(n)
     if state.shape != (dim,):
         raise ValueError(f"packed state has shape {state.shape}, expected ({dim},)")
     _check_finite(state)
@@ -196,6 +198,7 @@ def check_grid(state: np.ndarray, n_vertices: int, check_finite: bool = True) ->
     Refuses other shapes, a packed vector included, and a nonzero diagonal;
     check_finite=False leaves the amplitudes to the caller, as the steps do.
     """
+    n_vertices = check_int("n_vertices", n_vertices, 2)
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (n_vertices,) * 2:
         raise ValueError(f"state has shape {state.shape}, expected {(n_vertices,) * 2}")

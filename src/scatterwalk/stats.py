@@ -170,7 +170,7 @@ def _discovered_law(k_marked: int, found: np.ndarray, first: np.ndarray,
 
 
 def _simulate_coverage_reduced(
-    k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
+    k_marked: int, runs: int, n_vertices: int, n_opt: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Monte Carlo draws from the exact per-run measurement law.
 
@@ -181,7 +181,6 @@ def _simulate_coverage_reduced(
     A drawn pair index is decoded from the K-1 row starts, `starts[a]` the index of (a, a+1).
     Returns (found, first, second, oracle calls) as `_discovered_law` reads them.
     """
-    n_opt = reduced.optimal_steps(n_vertices, k_marked)
     op = reduced.reduced_operator(n_vertices, k_marked, np.pi / 2)
     final = reduced.evolve_reduced(
         reduced.reduced_initial_state(n_vertices, k_marked), op, n_opt
@@ -244,7 +243,8 @@ def coverage_distribution(
     engine="reduced" sampling the exact measurement law and engine="full"
     evolving the state once through the oracle-driven walk and drawing all
     trials * runs measurements of it in one batch, edge for edge those of
-    one `run_search` per draw.
+    one `run_search` per draw.  Both engines read N and K by one
+    `reduced.optimal_steps`, refusing N < 4 and K outside 2..N-2 alike.
     """
     k_marked, runs = core.check_int("k_marked", k_marked, 2), core.check_int("runs", runs, 1)
     if mode == "exact":
@@ -252,13 +252,15 @@ def coverage_distribution(
         return CoverageDistribution(runs=runs, probabilities=dist, mode="idealized")
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if n_vertices is None:
-        raise ValueError("mc mode requires n_vertices")
+    n_opt = reduced.optimal_steps(n_vertices, k_marked)  # reads N and K for both engines
     trials = core.check_int("trials", trials, 1)
-    simulate = {"reduced": _simulate_coverage_reduced, "full": _simulate_coverage_full}.get(engine)
-    if simulate is None:
+    if engine == "reduced":
+        draws = _simulate_coverage_reduced(k_marked, runs, n_vertices, n_opt, trials, _rng(seed))
+    elif engine == "full":
+        draws = _simulate_coverage_full(k_marked, runs, n_vertices, trials, _rng(seed))
+    else:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
-    found, first, second, calls = simulate(k_marked, runs, n_vertices, trials, _rng(seed))
+    found, first, second, calls = draws
     return CoverageDistribution(
         runs=runs, probabilities=_discovered_law(k_marked, found, first, second),
         mode="simulated",

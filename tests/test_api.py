@@ -14,7 +14,7 @@ import pytest
 
 import scatterwalk
 import scatterwalk as sw
-from scatterwalk import reduced
+from scatterwalk import core, reduced
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(scatterwalk.__path__))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -63,6 +63,9 @@ INTEGER_INPUTS = {
     "WalkConfig-marked_set": ("marked vertex", 0, lambda v: sw.WalkConfig(10, {0, v}, 0.5), 3),
     "coefficients": ("n_vertices", 3, sw.coefficients, 10),
     "initial_grid": ("n_vertices", 3, sw.initial_grid, 10),
+    "n_edge_states": ("n_vertices", 2, core.n_edge_states, 100),  # int8: 100 * 99 overflows
+    "check_grid": ("n_vertices", 2, lambda v: core.check_grid(sw.initial_grid(5), v), 5),
+    "to_grid": ("n_vertices", 2, lambda v: core.to_grid(np.arange(20), v), 5),
     "edge_index-n_vertices": ("n_vertices", 2, lambda v: sw.edge_index(v, 1, 2), 10),
     "edge_index-source": ("source", 0, lambda v: sw.edge_index(10, v, 2), 3),
     "edge_index-target": ("target", 0, lambda v: sw.edge_index(10, 1, v), 3),
@@ -99,7 +102,7 @@ INTEGER_INPUTS = {
     "coverage_distribution-k_marked": ("k_marked", 2, lambda v: sw.coverage_distribution(v, 2), 3),
     "coverage_distribution-runs": ("runs", 1, lambda v: sw.coverage_distribution(3, v), 2),
     "coverage_distribution-mc-reduced-n_vertices": ("n_vertices", 4, lambda v: mc("reduced", v), 10),
-    "coverage_distribution-mc-full-n_vertices": ("n_vertices", 3, lambda v: mc("full", v), 10),
+    "coverage_distribution-mc-full-n_vertices": ("n_vertices", 4, lambda v: mc("full", v), 10),
     "coverage_distribution-mc-trials": ("trials", 1, lambda v: mc("reduced", trials=v), 20),
     "expected_runs_to_cover-k_marked": ("k_marked", 2, sw.expected_runs_to_cover, 3),
 }

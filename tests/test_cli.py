@@ -630,6 +630,34 @@ class TestStatsCommand:
         assert peak_kib(3000) - peak_kib(3) < 4 * 1024
 
 
+# a refusal of `walk` and the library call that refuses the same values
+LIBRARY_REFUSALS = {
+    "run --n 8 --k 7": lambda: reduced.optimal_steps(8, 7),
+    "run --n 3 --k 2": lambda: reduced.optimal_steps(3, 2),
+    "run --n 10 --marked-list 0": lambda: reduced.optimal_steps(10, 1),
+    "run --n 10 --marked-list 0,99": lambda: core.check_marked(10, [0, 99]),
+    "run --n 10 --marked-list=-1,3": lambda: core.check_marked(10, [-1, 3]),
+    "run --n 10 --k 2 --steps=-3": lambda: core.evolve(
+        core.initial_grid(10), WalkConfig(10, {0, 1}, math.pi / 2), -3),
+    "stats --k 1 --runs 2": lambda: stats.expected_runs_to_cover(1),
+    "stats --k 3 --runs 0": lambda: stats.coverage_distribution(3, 0),
+    "stats --mode mc --engine reduced --n 64 --k 63 --runs 2": lambda: (
+        stats.coverage_distribution(63, 2, "mc", n_vertices=64, engine="reduced")),
+    "stats --mode mc --engine full --n 64 --k 63 --runs 2": lambda: (
+        stats.coverage_distribution(63, 2, "mc", n_vertices=64, engine="full")),
+}
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REFUSALS)
+def test_each_condition_has_the_library_message(argv, capsys):
+    with pytest.raises(ValueError) as refused:
+        LIBRARY_REFUSALS[argv]()
+    assert run_cli(*argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {refused.value}\n"
+    assert captured.out == ""
+
+
 class TestModuleEntryPoint:
     def test_runs_without_scipy_as_python_m(self):
         # a fresh interpreter: the package and the CLI must not pull in scipy,

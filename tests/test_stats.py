@@ -318,6 +318,18 @@ class TestCoverageMonteCarlo:
         with pytest.raises(ValueError, match="n_vertices"):
             coverage_distribution(3, 2, "mc")
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (3.0, 2), (64, 63), (64, 70)])
+    def test_both_engines_refuse_n_and_k_with_one_message(self, n, k):
+        # both engines read N and K through optimal_steps before anything else
+        messages = []
+        for engine in ("reduced", "full"):
+            with pytest.raises(ValueError) as refused:
+                coverage_distribution(k, 2, "mc", n_vertices=n, trials=5, engine=engine)
+            messages.append(str(refused.value))
+        with pytest.raises(ValueError) as library:
+            reduced.optimal_steps(n, k)
+        assert messages == [str(library.value)] * 2
+
 
 class TestExpectedRuns:
     def test_reference_values(self):
