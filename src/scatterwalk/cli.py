@@ -185,24 +185,20 @@ def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, l
     return _step_table(weights, weights[:, 3], np.zeros(steps + 1), norm)
 
 
-def _step_table_full(config: WalkConfig, steps: int, use_oracle: bool) -> tuple[dict, int]:
-    """Step records of one grid stepped in place, each step reading the
-    record of the grid it steps; the last grid is read by `reduced.observe`."""
-    grid = core.initial_grid(config.n_vertices)
-    ledger = QueryLedger()
-    f = OracleFunction(n_vertices=config.n_vertices, marked_set=config.marked_set)
+def _step_table_full(step, walk: tuple, steps: int) -> dict[str, list]:
+    """Step records of one grid stepped in place by `step(grid, *walk)`, each
+    step reading the record of the grid it steps; the last grid is read by
+    `reduced.observe`.  `walk[0]` is the `WalkConfig` or `OracleFunction`
+    whose N and marked set are walked."""
+    grid = core.initial_grid(walk[0].n_vertices)
     comps = np.empty((steps + 1, 4), dtype=np.complex128)
     residual, p_marked, norm = np.empty((3, steps + 1))
     for i in range(steps):
-        if use_oracle:
-            grid, record = oracle.oracle_step(grid, f, ledger, out=grid,
-                                              reader=reduced.read_strips)
-        else:
-            grid, record = core.apply_step(grid, config, out=grid, reader=reduced.read_strips)
+        grid, record = step(grid, *walk, out=grid, reader=reduced.read_strips)
         comps[i], residual[i], p_marked[i], norm[i] = record
-    record = reduced.observe(grid, config.marked)
+    record = reduced.observe(grid, walk[0].marked)
     comps[steps], residual[steps], p_marked[steps], norm[steps] = record
-    return _step_table(np.abs(comps) ** 2, p_marked, residual, norm), ledger.quantum_calls
+    return _step_table(np.abs(comps) ** 2, p_marked, residual, norm)
 
 
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
@@ -222,13 +218,15 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
     if engine == "oracle" and phase != math.pi / 2:
         raise ValueError("engine=oracle implements phase pi/2 only")
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
+    quantum_calls = 2 * steps
     if engine == "reduced":
         table = _step_table_reduced(n, k, phase, steps)
-        quantum_calls = 2 * steps
+    elif engine == "oracle":
+        ledger = QueryLedger()
+        table = _step_table_full(oracle.oracle_step, (OracleFunction(n, marked), ledger), steps)
+        quantum_calls = ledger.quantum_calls
     else:
-        config = WalkConfig(n_vertices=n, marked_set=marked, phase=phase)
-        table, counted = _step_table_full(config, steps, use_oracle=(engine == "oracle"))
-        quantum_calls = counted if engine == "oracle" else 2 * steps
+        table = _step_table_full(core.apply_step, (WalkConfig(n, marked, phase),), steps)
     summary = {
         "n": n,
         "k": k,

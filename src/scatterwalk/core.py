@@ -90,7 +90,7 @@ def check_marked(n_vertices: int, vertices) -> tuple[frozenset[int], np.ndarray]
     """(membership set, sorted read-only intp array) of marked vertices in 0..N-1."""
     members = frozenset(check_int("marked vertex", v, 0) for v in vertices)
     if members and max(members) >= n_vertices:
-        raise ValueError(f"marked vertices must lie in 0..{n_vertices - 1}: {sorted(members)}")
+        raise ValueError(f"marked vertex {max(members)} out of range for N={n_vertices}")
     marked = np.array(sorted(members), dtype=np.intp)
     marked.setflags(write=False)
     return members, marked

@@ -1,7 +1,9 @@
 """Measurement, end-to-end search runs, and multi-run discovery statistics.
 
-A single search run evolves the uniform start state for the optimal
-number of steps, measures the walker's edge, and succeeds when both
+A single search run takes the `OracleFunction` it queries, whose kickback
+is the phase pi/2, reads N, K and the optimal step count by one
+`reduced.optimal_steps`, evolves the uniform start that many steps (two
+oracle calls each), measures the walker's edge, and succeeds when both
 endpoints are marked.  Repeating runs discovers the marked vertices one
 edge at a time; this module provides the distribution of the number of
 distinct vertices found after r runs, both in the idealized model where
@@ -28,7 +30,6 @@ from math import comb, fsum, isqrt
 import numpy as np
 
 from . import core, oracle, reduced
-from .core import WalkConfig
 from .oracle import OracleFunction, QueryLedger
 
 __all__ = [
@@ -115,35 +116,29 @@ def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     return core.edge_endpoints(n, int(index))
 
 
-def _search_state(config: WalkConfig, ledger: QueryLedger) -> tuple[np.ndarray, int]:
-    """Uniform state after the optimal number of oracle-driven steps.
-
-    Returns (packed state, n_opt); each step charges two oracle calls.
-    """
-    if abs(config.phase - np.pi / 2) > 1e-12:
-        raise ValueError(f"search requires phase pi/2, got {config.phase!r}")
-    n, k = config.n_vertices, config.k_marked
-    n_opt = reduced.optimal_steps(n, k)
-    f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
-    grid = core.initial_grid(n)
+def _search_state(f: OracleFunction, n_opt: int, ledger: QueryLedger) -> np.ndarray:
+    """Packed uniform state after `n_opt` steps driven by the oracle `f`,
+    each charging two oracle calls to `ledger`."""
+    grid = core.initial_grid(f.n_vertices)
     for _ in range(n_opt):
         grid = oracle.oracle_step(grid, f, ledger, out=grid)
-    return core.to_packed(grid), n_opt
+    return core.to_packed(grid)
 
 
-def run_search(config: WalkConfig, seed=None, ledger: QueryLedger | None = None) -> RunOutcome:
-    """One complete search: evolve to the optimal step count, measure once.
+def run_search(f: OracleFunction, seed=None, ledger: QueryLedger | None = None) -> RunOutcome:
+    """One complete search of the oracle `f`: evolve to the optimal step
+    count, measure once.
 
-    Requires phase pi/2 and 2 <= K <= N-2 (the regime where the optimal
-    step count is defined).  Every step costs two oracle calls.
+    Requires 2 <= K <= N-2 (the regime where the optimal step count is
+    defined).  Every step costs two oracle calls.
     """
+    n_opt = reduced.optimal_steps(f.n_vertices, len(f.marked))
     ledger = QueryLedger() if ledger is None else ledger
     calls_before = ledger.quantum_calls
-    state, n_opt = _search_state(config, ledger)
-    edge = sample_measurement(state, seed)
+    edge = sample_measurement(_search_state(f, n_opt, ledger), seed)
     return RunOutcome(
         edge=edge,
-        success=edge[0] in config.marked_set and edge[1] in config.marked_set,
+        success=edge[0] in f.marked_set and edge[1] in f.marked_set,
         steps_used=n_opt,
         oracle_calls=ledger.quantum_calls - calls_before,
     )
@@ -195,9 +190,10 @@ def _simulate_coverage_reduced(
 
 
 def _simulate_coverage_full(
-    k_marked: int, runs: int, n_vertices: int, trials: int, rng: np.random.Generator
+    k_marked: int, runs: int, n_vertices: int, n_opt: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Monte Carlo draws measuring the oracle engine's evolved state.
+    """Monte Carlo draws measuring the state that `n_opt` oracle-driven steps
+    evolve, for the oracle of the marked set 0..K-1.
 
     The state is evolved once.  Its first draw is one `sample_measurement`,
     which validates it; the other trials * runs - 1 are one batch from the
@@ -205,11 +201,8 @@ def _simulate_coverage_full(
     per draw would measure.  Oracle calls are counted per search.  Returns
     (found, first, second, oracle calls) as `_discovered_law` reads them.
     """
-    config = WalkConfig(
-        n_vertices=n_vertices, marked_set=frozenset(range(k_marked)), phase=np.pi / 2
-    )
     ledger = QueryLedger()
-    state, _ = _search_state(config, ledger)
+    state = _search_state(OracleFunction(n_vertices, range(k_marked)), n_opt, ledger)
     edge = sample_measurement(state, rng)
     weights, n = _born_probabilities(state)
     index = np.empty(trials * runs, dtype=np.intp)
@@ -257,7 +250,7 @@ def coverage_distribution(
     if engine == "reduced":
         draws = _simulate_coverage_reduced(k_marked, runs, n_vertices, n_opt, trials, _rng(seed))
     elif engine == "full":
-        draws = _simulate_coverage_full(k_marked, runs, n_vertices, trials, _rng(seed))
+        draws = _simulate_coverage_full(k_marked, runs, n_vertices, n_opt, trials, _rng(seed))
     else:
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
     found, first, second, calls = draws

@@ -159,7 +159,7 @@ def test_criterion_5_exact_reference_probabilities():
 
 
 def test_criterion_6_quadratic_separation():
-    outcome = stats.run_search(cfg(100, 2, np.pi / 2), seed=0)
+    outcome = stats.run_search(OracleFunction(100, frozenset(range(2))), seed=0)
     calls_ok = outcome.oracle_calls == 2 * reduced.optimal_steps(100, 2)
     quantum, classical = [], []
     for n in (500, 1000):

@@ -18,6 +18,7 @@ from scatterwalk import core, reduced
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(scatterwalk.__path__))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def traced_names():
@@ -45,6 +46,14 @@ def test_every_traced_name_resolves():
         if not hasattr(importlib.import_module(f"scatterwalk.{module}"), attr):
             missing.append(qualified)
     assert not missing, f"perfbench/tracer.py traces names that do not exist: {missing}"
+
+
+def test_readme_quick_start_runs(capsys):
+    # the python block under "Quick start (API)" runs against the current API
+    section = README.read_text(encoding="utf-8").split("## Quick start (API)\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README}: Quick start (API)", "exec"), {})
+    assert capsys.readouterr().out.endswith("5/2\n")  # expected_runs_to_cover(3)
 
 
 CONFIG = sw.WalkConfig(10, {0, 1}, 0.5)

@@ -658,6 +658,17 @@ def test_each_condition_has_the_library_message(argv, capsys):
     assert captured.out == ""
 
 
+def test_an_out_of_range_marked_vertex_is_named_alone(capsys):
+    # 1001 marked vertices, only 2000 out of range: one short line names it
+    # and N, not the whole set
+    marked = ",".join(map(str, range(1000, 2001)))
+    assert run_cli("run", "--n", "2000", "--marked-list", marked) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 120
+    assert "2000" in captured.err
+    assert captured.out == ""
+
+
 class TestModuleEntryPoint:
     def test_runs_without_scipy_as_python_m(self):
         # a fresh interpreter: the package and the CLI must not pull in scipy,

@@ -11,7 +11,7 @@ import scipy.stats
 
 from scatterwalk import core, oracle, reduced, stats
 from scatterwalk.core import WalkConfig
-from scatterwalk.oracle import QueryLedger
+from scatterwalk.oracle import OracleFunction, QueryLedger
 from scatterwalk.stats import (
     CoverageDistribution,
     coverage_distribution,
@@ -36,10 +36,14 @@ def config(n, k, phase=np.pi / 2):
     return WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phase)
 
 
+def search_oracle(n, k):
+    return OracleFunction(n_vertices=n, marked_set=frozenset(range(k)))
+
+
 def coverage_by_run_search(n, k, runs, trials, seed):
     """(probabilities, success rate, oracle calls) from `trials` x `runs`
     calls of the public run_search on one generator, one search per draw."""
-    cfg = config(n, k)
+    cfg = search_oracle(n, k)
     rng = np.random.default_rng(seed)
     ledger = QueryLedger()
     counts, successes = {}, 0
@@ -108,26 +112,26 @@ class TestSampleMeasurement:
 
 class TestRunSearch:
     def test_step_and_call_accounting(self):
-        outcome = run_search(config(100, 2), seed=0)
+        outcome = run_search(search_oracle(100, 2), seed=0)
         assert outcome.steps_used == 55
         assert outcome.oracle_calls == 110
 
     def test_ledger_accumulates_across_runs(self):
         ledger = QueryLedger()
-        run_search(config(30, 3), seed=1, ledger=ledger)
-        run_search(config(30, 3), seed=2, ledger=ledger)
+        run_search(search_oracle(30, 3), seed=1, ledger=ledger)
+        run_search(search_oracle(30, 3), seed=2, ledger=ledger)
         n_opt = reduced.optimal_steps(30, 3)
         assert ledger.quantum_calls == 4 * n_opt
 
     def test_success_flag_matches_measured_edge(self):
-        cfg = config(30, 3)
+        cfg = search_oracle(30, 3)
         for seed in range(12):
             outcome = run_search(cfg, seed=seed)
             assert outcome.success == (set(outcome.edge) <= cfg.marked_set)
 
     def test_success_rate_matches_reduced_model(self):
         # binomial check against the frozen exact probability
-        cfg = config(100, 2)
+        cfg = search_oracle(100, 2)
         trials = 250
         rng = np.random.default_rng(31)
         hits = sum(run_search(cfg, seed=rng).success for _ in range(trials))
@@ -145,7 +149,7 @@ class TestRunSearch:
 
         monkeypatch.setattr(stats, "sample_measurement", capture)
         cfg = config(12, 3)
-        run_search(cfg, seed=0)
+        run_search(search_oracle(12, 3), seed=0)
         (state,) = seen
         assert state.shape == (132,)
         expected = packed_of(core.evolve(core.initial_grid(12), cfg, reduced.optimal_steps(12, 3)))
@@ -155,18 +159,31 @@ class TestRunSearch:
         # N(N-1) of an int16 N = 300 overflows int16 unless N is read as an int
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cfg = WalkConfig(np.int16(300), {0, 1}, np.pi / 2)
+            cfg = OracleFunction(np.int16(300), {0, 1})
             assert type(cfg.n_vertices) is int
             assert np.linalg.norm(core.initial_grid(cfg.n_vertices)) == pytest.approx(1, abs=1e-12)
-            assert run_search(cfg, seed=1) == run_search(config(300, 2), seed=1)
-
-    def test_requires_half_pi_phase(self):
-        with pytest.raises(ValueError, match="pi/2"):
-            run_search(config(20, 2, phase=np.pi), seed=0)
+            assert run_search(cfg, seed=1) == run_search(search_oracle(300, 2), seed=1)
 
     def test_requires_reducible_k(self):
         with pytest.raises(ValueError):
-            run_search(config(10, 9), seed=0)
+            run_search(search_oracle(10, 9), seed=0)
+
+
+def test_optimal_steps_is_read_once_per_search_and_per_monte_carlo(monkeypatch):
+    calls = []
+    optimal_steps = reduced.optimal_steps
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_steps(*args)
+
+    monkeypatch.setattr(reduced, "optimal_steps", counted)
+    for engine in ("reduced", "full"):
+        coverage_distribution(3, 2, "mc", n_vertices=12, trials=5, seed=0, engine=engine)
+        assert calls == [(12, 3)], engine
+        calls.clear()
+    run_search(search_oracle(12, 3), seed=0)
+    assert calls == [(12, 3)]
 
 
 class TestCoverageExact:
