@@ -25,20 +25,22 @@ other non-integer, and a value below the bound, with one `ValueError`
 naming the parameter (`check_grid`, `to_grid` and `n_edge_states` too,
 at the edge order's bound N >= 2).  A marked set is read once, by
 `check_marked`, into a frozenset and the sorted, read-only vertex array
-`marked` that every marked block and class index derives from.
+`marked` that every marked block and class index derives from.  A phase is
+read by `check_phase` into a finite Python float.
 
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the
 reflection into the transmission by r + t = 1.  The kernel writes
-out^T = t*colsum[None, :] - A, reading A in its own memory order, and
-returns the free view out.  The marked phase is a diagonal sandwich
-(e^{i*phi} on every marked edge before and after scattering, which gives
-e^{2i*phi} on reflection back into a marked edge and e^{i*phi} on entry
-or exit), applied as a K x K block product on the marked rows and
-columns with colsum corrected on the marked columns; then the diagonal
-is re-zeroed.  Every step reads finiteness from colsum: a non-finite
-amplitude makes its column sum non-finite, and only then is the grid
-checked entry by entry, before anything is written.
+out^T = t*colsum[None, :] - A, reading A in its own memory order, by one
+subtraction per strip, and returns the free view out.  The marked phase
+is a diagonal sandwich (e^{i*phi} on every marked edge before and after
+scattering, which gives e^{2i*phi} on reflection back into a marked edge
+and e^{i*phi} on entry or exit), applied with colsum corrected on the
+marked columns and as a K x K block, which is written once, after the
+last strip, and then the diagonal is zeroed, both by fancy index, right
+in any memory order.  Every step reads finiteness from colsum: a
+non-finite amplitude makes its column sum non-finite, and only then is
+the grid checked entry by entry, before anything is written.
 
 A step can also be observed in the pass that makes it: it then reads the
 grid in strips of `strip_rows(N)` memory rows and hands each one, just
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -68,6 +69,7 @@ __all__ = [
     "check_grid",
     "initial_grid",
     "check_int",
+    "check_phase",
     "check_marked",
     "strip_rows",
     "step_grid",
@@ -84,6 +86,18 @@ def check_int(name: str, value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_phase(value) -> float:
+    """`value` as a finite Python float; refuses a non-real or non-finite one, naming `phase`."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        phase = float(value) if real else math.nan
+    except OverflowError:  # an int past the float range
+        phase = math.nan
+    if not math.isfinite(phase):
+        raise ValueError(f"phase must be finite and real, got {value!r}")
+    return phase
 
 
 def check_marked(n_vertices: int, vertices) -> tuple[frozenset[int], np.ndarray]:
@@ -115,10 +129,7 @@ class WalkConfig:
         object.__setattr__(self, "n_vertices", n)
         for name, value in zip(("marked_set", "marked"), check_marked(n, self.marked_set)):
             object.__setattr__(self, name, value)
-        phase = float(self.phase)
-        if not math.isfinite(phase):
-            raise ValueError(f"phase must be finite, got {self.phase!r}")
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "phase", check_phase(self.phase))
 
     @property
     def k_marked(self) -> int:
@@ -247,7 +258,8 @@ def step_grid(
     returns (out, reader(grid, colsum, marked, transposed, strips)): colsum
     is grid.sum(axis=0), and `strips` yields (start, rows), the grid's rows
     start..stop (its columns when `transposed`) in strips of
-    `strip_rows(N)`, each just before out is written over it.
+    `strip_rows(N)`, each just before out is written over it; the marked
+    block and the diagonal are written once, after the last strip.
     """
     n, k = grid.shape[0], len(marked)
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == grid.shape
@@ -274,27 +286,24 @@ def step_grid(
     # its columns, where colsum runs down each strip instead of along it
     flip = not out.flags.c_contiguous
     rows, source = (out.T, grid.T) if flip else (out, grid)
-    if shift and flip:
-        fixed = fixed.T
     height = n if reader is None else strip_rows(n)
-    diag, vertices = np.arange(n), marked.tolist()
 
     def strips():
         for start in range(0, n, height):
-            stop = start + height
-            old = source[start:stop]
+            old = source[start:start + height]
             yield start, old
-            strip = rows[start:stop]
-            np.subtract(scaled[start:stop, None] if flip else scaled, old, out=strip)
-            lo, hi = bisect_left(vertices, start), bisect_left(vertices, stop)
-            if shift and hi > lo:
-                rows[marked[lo:hi, None], marked] = fixed[lo:hi]
-            strip[diag[:len(strip)], diag[start:stop]] = 0.0
+            np.subtract(scaled[start:start + height, None] if flip else scaled, old,
+                        out=rows[start:start + height])
 
     passes = strips()
     record = None if reader is None else reader(grid, colsum, marked, flip, passes)
     for _ in passes:  # steps what the reader left unread
         pass
+    # every strip has been read: the marked block, then the diagonal, in any layout
+    if shift:
+        out[marked[:, None], marked] = fixed
+    diag = np.arange(n)
+    rows[diag, diag] = 0.0
     return out.T if reader is None else (out.T, record)
 
 

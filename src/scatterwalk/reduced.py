@@ -85,9 +85,7 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray
     or back inside the marked class picks up e^{i*phi} or e^{2i*phi}.
     """
     n, k = _check_range(n_vertices, k_marked)
-    phase = float(phase)
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase!r}")
+    phase = core.check_phase(phase)
     t, r = core.coefficients(n)
     e = np.exp(1j * phase)
     m = np.zeros((4, 4), dtype=np.complex128)

@@ -85,12 +85,6 @@ class CoverageDistribution:
         return self.probabilities.get(j, zero)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
     """(normalised |psi|^2, N) of a packed state of length N(N-1); states off
     normalization by more than 1e-8 are rejected."""
@@ -112,7 +106,7 @@ def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     1e-8 are rejected.
     """
     weights, n = _born_probabilities(state)
-    index = _rng(seed).choice(len(weights), p=weights)
+    index = np.random.default_rng(seed).choice(len(weights), p=weights)
     return core.edge_endpoints(n, int(index))
 
 
@@ -238,22 +232,20 @@ def coverage_distribution(
     trials * runs measurements of it in one batch, edge for edge those of
     one `run_search` per draw.  Both engines read N and K by one
     `reduced.optimal_steps`, refusing N < 4 and K outside 2..N-2 alike.
+    An unknown mode or engine is refused in either mode, before any work.
     """
     k_marked, runs = core.check_int("k_marked", k_marked, 2), core.check_int("runs", runs, 1)
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    if engine not in ("reduced", "full"):
+        raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
     if mode == "exact":
         dist = _coverage_chain(k_marked, runs)
         return CoverageDistribution(runs=runs, probabilities=dist, mode="idealized")
-    if mode != "mc":
-        raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     n_opt = reduced.optimal_steps(n_vertices, k_marked)  # reads N and K for both engines
-    trials = core.check_int("trials", trials, 1)
-    if engine == "reduced":
-        draws = _simulate_coverage_reduced(k_marked, runs, n_vertices, n_opt, trials, _rng(seed))
-    elif engine == "full":
-        draws = _simulate_coverage_full(k_marked, runs, n_vertices, n_opt, trials, _rng(seed))
-    else:
-        raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
-    found, first, second, calls = draws
+    trials, rng = core.check_int("trials", trials, 1), np.random.default_rng(seed)
+    simulate = _simulate_coverage_full if engine == "full" else _simulate_coverage_reduced
+    found, first, second, calls = simulate(k_marked, runs, n_vertices, n_opt, trials, rng)
     return CoverageDistribution(
         runs=runs, probabilities=_discovered_law(k_marked, found, first, second),
         mode="simulated",

@@ -6,6 +6,7 @@ package, so agreement between the two is a meaningful check rather than a
 tautology.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -130,6 +131,34 @@ def naive_dense_operator(n, marked, phi):
     return op
 
 
+def naive_grid_step(grid, marked, phi):
+    """One step of an N x N grid, grid[m, l] = amplitude(m -> l), from the local rules.
+
+    Every edge internal to the marked set takes e^{i phi} on the way in.  At
+    each vertex l the amplitude arriving on (k, l) goes back along (l, k)
+    with -r and on to every other (l, m) with t, so (l, m) gathers t times
+    what arrives from every k other than m, and -r times what arrives from
+    m; r is never folded into t.  The marked edges take e^{i phi} again on
+    the way out.  O(N^2), one vertex at a time.
+    """
+    n = len(grid)
+    t = 2.0 / (n - 1)
+    r = 1.0 - t
+    phases = np.ones((n, n), dtype=complex)
+    for a in marked:
+        for b in marked:
+            if a != b:
+                phases[a, b] = np.exp(1j * phi)
+    arriving = np.asarray(grid) * phases
+    out = np.zeros((n, n), dtype=complex)
+    for l in range(n):
+        into_l = arriving[:, l]  # into_l[k]: amplitude on (k, l); (l, l) holds none
+        from_others = into_l.sum() - into_l  # from_others[m]: arrivals from every k != m
+        out[l] = t * from_others - r * into_l
+        out[l, l] = 0.0
+    return out * phases
+
+
 def naive_class_basis(n, marked):
     """The four class vectors as columns of a dim x 4 matrix."""
     marked = set(marked)
@@ -221,3 +250,25 @@ def mp_search_components(n, k, steps, phase=None, dps=50):
             op = op * op
             steps >>= 1
         return [complex(c) for c in state]
+
+
+def simulated_coverage_law(n, k, runs):
+    """Law of the discovered-vertex count after `runs` searches of N vertices
+    with marked vertices 0..K-1, as the Monte Carlo simulates them.
+
+    Each search runs round(pi (N-1) / (4 sqrt(K(K-1)))) steps at phase
+    pi/2 and succeeds independently with p = |c4|^2 from
+    `mp_search_components`; a success returns a uniformly random marked
+    pair, by the class symmetry of the state.  So the count after `runs`
+    searches is the ideal law after s of them (`coverage_by_enumeration`,
+    j = 0 at s = 0) mixed with the Binom(runs, s; p) weights.  Returns
+    (probabilities keyed by count, p).
+    """
+    steps = round(math.pi * (n - 1) / (4 * math.sqrt(k * (k - 1))))
+    p = abs(mp_search_components(n, k, steps)[3]) ** 2
+    law = {}
+    for s in range(runs + 1):
+        weight = math.comb(runs, s) * p**s * (1 - p) ** (runs - s)
+        for j, q in coverage_by_enumeration(k, s).items():
+            law[j] = law.get(j, 0.0) + weight * float(q)
+    return dict(sorted(law.items())), p

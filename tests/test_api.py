@@ -1,7 +1,8 @@
 """Public surface: every exported name resolves, and so does every name the
 benchmark's tracer wraps, so deleting one fails here before a traced run.
 Every public entry point that takes a size, vertex, count or step number
-reads it by one contract, `core.check_int`."""
+reads it by one contract, `core.check_int`, and every phase by
+`core.check_phase`."""
 
 import ast
 import importlib
@@ -133,3 +134,30 @@ def test_non_integers_are_refused_by_name(entry, value):
 def test_numpy_integers_act_as_python_ints(entry, integer):
     _, _, call, good = INTEGER_INPUTS[entry]
     np.testing.assert_equal(call(integer(good)), call(good))
+
+
+# entry point taking a phase: call with the phase
+PHASE_INPUTS = {
+    "WalkConfig": lambda v: sw.WalkConfig(10, {0, 1}, v),
+    "reduced_operator": lambda v: sw.reduced_operator(10, 3, v),
+}
+BAD_PHASES = [True, np.bool_(False), "0.5", 1 + 2j, np.complex128(1 + 2j), None,
+              np.array([0.5]), np.array(0.5), float("nan"), float("inf"), -np.inf,
+              np.float64("nan"), 10**400]
+REAL_PHASES = [np.float64(0.5), np.float32(0.5), np.int64(1), 1]
+
+
+@pytest.mark.parametrize("entry", PHASE_INPUTS)
+@pytest.mark.parametrize("value", BAD_PHASES, ids=lambda v: repr(v)[:20])
+def test_bad_phases_are_refused_by_name(entry, value):
+    message = f"^phase must be finite and real, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        PHASE_INPUTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", PHASE_INPUTS)
+@pytest.mark.parametrize("value", REAL_PHASES, ids=repr)
+def test_real_phases_act_as_python_floats(entry, value):
+    assert core.check_phase(value) == float(value)
+    assert type(core.check_phase(value)) is float
+    np.testing.assert_equal(PHASE_INPUTS[entry](value), PHASE_INPUTS[entry](float(value)))

@@ -12,6 +12,7 @@ from helpers import (
     grid_of,
     marked_phase_vector,
     naive_dense_operator,
+    naive_grid_step,
     operator_of,
     packed_of,
     random_state,
@@ -361,6 +362,52 @@ class TestDenseCrossCheck:
             if l not in (j, m, k):
                 col[core.edge_index(n, j, l)] = t
         np.testing.assert_allclose(dense[:, core.edge_index(n, m, j)], col, atol=1e-15)
+
+
+#: N = 300 is read in strips of 109 rows: 0-108, 109-217 and 218-299, each
+#: holding marked vertices at its edges
+STRIPPED_N, STRIPPED_MARKED = 300, (0, 108, 109, 217, 218, 299)
+
+
+class TestLocalRulesAcrossStrips:
+    """A step read in several strips, checked against the local rules."""
+
+    @pytest.mark.parametrize("step, phase", [("apply_step", 0.7), ("apply_step", np.pi / 2),
+                                             ("apply_step", np.pi), ("oracle_step", np.pi / 2)])
+    @pytest.mark.parametrize("layout", ["rows", "transposed", "strided"])
+    @pytest.mark.parametrize("in_place", [False, True], ids=["fresh", "in place"])
+    @pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
+    def test_matches_the_naive_grid_step(self, step, phase, layout, in_place, observed):
+        n, marked = STRIPPED_N, STRIPPED_MARKED
+        assert core.strip_rows(n) == 109
+        cfg = WalkConfig(n, frozenset(marked), phase)
+        f = OracleFunction(n, cfg.marked_set)
+        steps = {"apply_step": lambda grid, **kw: core.apply_step(grid, cfg, **kw),
+                 "oracle_step": lambda grid, **kw: oracle.oracle_step(grid, f, QueryLedger(),
+                                                                      **kw)}
+        grid = grid_of(random_state(np.random.default_rng(11), n * (n - 1)), n)
+        expected = naive_grid_step(grid, marked, phase)
+        if layout == "transposed":
+            grid = grid.T.copy().T
+        elif layout == "strided":
+            wide = np.zeros((n, 2 * n), dtype=complex)
+            wide[:, ::2] = grid
+            grid = wide[:, ::2]
+        kwargs = {"out": grid} if in_place else {}
+        if observed:
+            kwargs["reader"] = reduced.read_strips
+        stepped = steps[step](grid, **kwargs)
+        if observed:
+            stepped = stepped[0]
+        assert not stepped.diagonal().any()
+        assert np.abs(stepped - expected).max() < 1e-16
+
+    @pytest.mark.parametrize("n, marked", [(4, (0, 3)), (7, (1, 2, 5)), (12, (0, 5, 6, 11))])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, np.pi / 2, np.pi])
+    def test_the_naive_grid_step_is_the_naive_dense_operator(self, n, marked, phase):
+        state = random_state(np.random.default_rng(n), n * (n - 1))
+        stepped = packed_of(naive_grid_step(grid_of(state, n), marked, phase))
+        assert np.abs(stepped - naive_dense_operator(n, marked, phase) @ state).max() < 1e-15
 
 
 class TestPermutationCovariance:

@@ -1,5 +1,6 @@
 """Measurement sampling, end-to-end runs, and coverage statistics."""
 
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -26,6 +27,7 @@ from helpers import (
     edge_index,
     naive_class_basis,
     packed_of,
+    simulated_coverage_law,
 )
 
 # frozen pre-build success probability at the optimal step count (N=100, K=2)
@@ -244,6 +246,11 @@ class TestCoverageExact:
         with pytest.raises(ValueError):
             coverage_distribution(3, 2, mode="bogus")
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_an_unknown_engine_is_refused_in_either_mode(self, mode):
+        with pytest.raises(ValueError, match="^engine must be 'reduced' or 'full', got 'bogus'$"):
+            coverage_distribution(3, 2, mode, n_vertices=12, trials=5, engine="bogus")
+
 
 class TestCoverageMonteCarlo:
     def test_converges_to_idealized_at_large_n(self):
@@ -267,6 +274,23 @@ class TestCoverageMonteCarlo:
                                         n_vertices=12, seed=4)
         for j in set(via_runs.probabilities) | set(via_law.probabilities):
             assert abs(via_runs.probability(j) - via_law.probability(j)) < 0.15
+
+    @pytest.mark.parametrize("engine, trials", [("reduced", 200_000), ("full", 20_000)])
+    @pytest.mark.parametrize("n, k, runs", [(12, 3, 2), (5, 2, 3), (30, 6, 8)])
+    def test_every_count_is_within_four_standard_errors_of_the_exact_law(
+        self, engine, trials, n, k, runs
+    ):
+        # where runs fail often (p about 0.51 at N = 5), against the mixture of
+        # ideal laws over the number of successful runs
+        law, p = simulated_coverage_law(n, k, runs)
+        assert abs(math.fsum(law.values()) - 1.0) < 1e-12
+        dist = coverage_distribution(k, runs, "mc", n_vertices=n, trials=trials, seed=11,
+                                     engine=engine)
+        assert set(dist.probabilities) <= set(law)
+        for j, expected in law.items():
+            error = math.sqrt(expected * (1 - expected) / trials)
+            assert abs(dist.probability(j) - expected) <= 4 * error, j
+        assert abs(dist.success_rate - p) <= 4 * math.sqrt(p * (1 - p) / (trials * runs))
 
     @pytest.mark.parametrize(
         "n, k, runs, trials, seed",
