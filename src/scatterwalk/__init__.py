@@ -1,87 +1,68 @@
 """Scattering-quantum-walk search for marked edges and subgraphs of complete graphs.
 
-Four layers, importable directly from the package root: the full-state
-walk engine (`core`), the exact four-dimensional reduction (`reduced`),
-the oracle-circuit formulation with query accounting (`oracle`), and
-measurement plus multi-run discovery statistics (`stats`).  The `walk`
-command-line tool in `cli` drives all of them.
+Five layers, each name of `__all__` reachable from the package root: the
+full-state walk engine (`core`), the exact four-dimensional reduction
+(`reduced`), the oracle-circuit formulation with query accounting
+(`oracle`), measurement and simulated discovery statistics (`stats`), and
+the exact discovery chain (`coverage`).  The `walk` command-line tool in
+`cli` drives all of them.
+
+Importing the package loads none of its modules, nor numpy: a root name
+is resolved on first use (PEP 562), importing only the module that
+defines it, so `scatterwalk.expected_runs_to_cover` needs no numpy.
 """
 
-from .core import (
-    ScatteringCoefficients,
-    WalkConfig,
-    apply_step,
-    coefficients,
-    dense_step_operator,
-    edge_endpoints,
-    edge_index,
-    evolve,
-    initial_grid,
-    marked_probability,
-)
-from .oracle import (
-    CompositeState,
-    OracleFunction,
-    QueryLedger,
-    apply_oracle,
-    classical_query_baseline,
-    conjugated_oracle,
-    kickback_ancilla,
-    oracle_step,
-)
-from .reduced import (
-    asymptotic_amplitudes,
-    evolve_reduced,
-    localization_rate,
-    optimal_steps,
-    project,
-    reduced_initial_state,
-    reduced_operator,
-    spectral_decompose,
-)
-from .stats import (
-    CoverageDistribution,
-    RunOutcome,
-    coverage_distribution,
-    expected_runs_to_cover,
-    run_search,
-    sample_measurement,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "WalkConfig",
-    "ScatteringCoefficients",
-    "coefficients",
-    "edge_index",
-    "edge_endpoints",
-    "initial_grid",
-    "apply_step",
-    "evolve",
-    "marked_probability",
-    "dense_step_operator",
-    "reduced_operator",
-    "reduced_initial_state",
-    "project",
-    "spectral_decompose",
-    "evolve_reduced",
-    "asymptotic_amplitudes",
-    "localization_rate",
-    "optimal_steps",
-    "OracleFunction",
-    "CompositeState",
-    "QueryLedger",
-    "kickback_ancilla",
-    "apply_oracle",
-    "conjugated_oracle",
-    "oracle_step",
-    "classical_query_baseline",
-    "RunOutcome",
-    "CoverageDistribution",
-    "sample_measurement",
-    "run_search",
-    "coverage_distribution",
-    "expected_runs_to_cover",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "WalkConfig": "core",
+    "ScatteringCoefficients": "core",
+    "coefficients": "core",
+    "edge_index": "core",
+    "edge_endpoints": "core",
+    "initial_grid": "core",
+    "apply_step": "core",
+    "evolve": "core",
+    "marked_probability": "core",
+    "dense_step_operator": "core",
+    "reduced_operator": "reduced",
+    "reduced_initial_state": "reduced",
+    "project": "reduced",
+    "spectral_decompose": "reduced",
+    "evolve_reduced": "reduced",
+    "asymptotic_amplitudes": "reduced",
+    "localization_rate": "reduced",
+    "optimal_steps": "reduced",
+    "OracleFunction": "oracle",
+    "CompositeState": "oracle",
+    "QueryLedger": "oracle",
+    "kickback_ancilla": "oracle",
+    "apply_oracle": "oracle",
+    "conjugated_oracle": "oracle",
+    "oracle_step": "oracle",
+    "classical_query_baseline": "oracle",
+    "RunOutcome": "stats",
+    "CoverageDistribution": "coverage",
+    "sample_measurement": "stats",
+    "run_search": "stats",
+    "coverage_distribution": "stats",
+    "expected_runs_to_cover": "coverage",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,15 @@ writer and one JSON writer format every table: the CSV writer picks each
 column's printf format once, from its first value, and the JSON rows are
 dicts zipped from the columns.  Both stream their text in batches.
 
+Start-up.  Importing this module loads the numpy-free input contract
+only; argparse is loaded when `main` parses.  Each command imports what
+it runs, inside the functions that use it, and calls through module
+attributes (`core.apply_step`, `stats.coverage_distribution`), so a
+wrapper or patch set on a module is the one called: `run` loads numpy,
+`core`, `reduced` and `oracle`; `stats --mode exact` loads only the exact
+chain in `coverage`, no numpy; `stats --mode mc` adds `stats` and its
+engines; `verify` loads `verify` and everything it checks.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 output
 write failure.  Outputs are deterministic for a fixed spec and seed;
 floats are rendered with 17 significant digits so values round-trip.
@@ -18,21 +27,18 @@ floats are rendered with 17 significant digits so values round-trip.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
-from decimal import Decimal
 from itertools import islice
 
-import numpy as np
-
-from . import core, oracle, reduced, stats, verify
-from .core import WalkConfig
-from .oracle import OracleFunction, QueryLedger
+from .contract import check_int
 
 __all__ = ["main", "entrypoint", "cmd_run", "cmd_verify", "cmd_stats", "parse_phase"]
+
+# the names of verify.PROFILES, listed here so that parsing does not import
+# `verify`; a test holds the two equal
+_PROFILES = ("default", "strict")
 
 SWEEP_COLUMNS = (
     "n", "k", "phase", "steps", "n_opt", "p_final", "p_peak", "quantum_calls", "classical_queries",
@@ -87,6 +93,8 @@ def _write_csv(handle, table: dict[str, list], summary: dict) -> None:
 
 def _write_json(handle, spec: dict, table: dict[str, list], summary: dict) -> None:
     """One object of spec, rows and summary, keys sorted."""
+    import json
+
     rows = [dict(zip(table, row)) for row in zip(*table.values())]
     payload = {"spec": spec, "rows": rows, "summary": summary}
     _stream(handle, json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
@@ -120,6 +128,8 @@ _ROW_BYTES = {"csv": 579, "json": 842}
 
 
 def _gib(nbytes: int) -> str:
+    from decimal import Decimal
+
     gib = Decimal(nbytes) / 2**30  # a float overflows at the byte count of --n 10**400
     return f"{gib:.1f}" if gib < 10**9 else f"{gib:.2e}"
 
@@ -145,6 +155,8 @@ def _grid_guard(n: int) -> None:
 
 def _parse_marked(args, n: int) -> frozenset[int]:
     """Resolve --k / --marked-list into a vertex set."""
+    from . import core
+
     if args.marked_list is not None:
         try:
             vertices = [int(v) for v in args.marked_list.split(",")]
@@ -166,6 +178,8 @@ def _parse_marked(args, n: int) -> frozenset[int]:
 def _step_table(weights: np.ndarray, p_marked: np.ndarray, residual: np.ndarray,
                 norm: np.ndarray) -> dict[str, list]:
     """The step records of one graph size, one column per field."""
+    import numpy as np
+
     w1, w2, w3, w4 = weights.T.tolist()
     return {
         "step": list(range(len(weights))), "p_marked": p_marked.tolist(),
@@ -175,6 +189,10 @@ def _step_table(weights: np.ndarray, p_marked: np.ndarray, residual: np.ndarray,
 
 
 def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, list]:
+    import numpy as np
+
+    from . import reduced
+
     op = reduced.reduced_operator(n, k, phase)
     series = reduced.component_series(op, reduced.reduced_initial_state(n, k), steps)
     weights = np.abs(series) ** 2
@@ -190,6 +208,10 @@ def _step_table_full(step, walk: tuple, steps: int) -> dict[str, list]:
     step reading the record of the grid it steps; the last grid is read by
     `reduced.observe`.  `walk[0]` is the `WalkConfig` or `OracleFunction`
     whose N and marked set are walked."""
+    import numpy as np
+
+    from . import core, reduced
+
     grid = core.initial_grid(walk[0].n_vertices)
     comps = np.empty((steps + 1, 4), dtype=np.complex128)
     residual, p_marked, norm = np.empty((3, steps + 1))
@@ -203,6 +225,8 @@ def _step_table_full(step, walk: tuple, steps: int) -> dict[str, list]:
 
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
     """(step table, summary) for one graph size."""
+    from . import core, oracle, reduced
+
     k, engine = len(marked), args.engine
     n_opt = reduced.optimal_steps(n, k)  # refuses N < 4 and K outside 2..N-2
     if args.steps == "auto":
@@ -214,7 +238,7 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
             steps = int(args.steps)
         except ValueError:
             raise ValueError(f"steps must be an integer or 'auto', got {args.steps!r}") from None
-        steps = core.check_int("steps", steps, 0)
+        steps = check_int("steps", steps, 0)
     if engine == "oracle" and phase != math.pi / 2:
         raise ValueError("engine=oracle implements phase pi/2 only")
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
@@ -222,11 +246,12 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
     if engine == "reduced":
         table = _step_table_reduced(n, k, phase, steps)
     elif engine == "oracle":
-        ledger = QueryLedger()
-        table = _step_table_full(oracle.oracle_step, (OracleFunction(n, marked), ledger), steps)
+        ledger = oracle.QueryLedger()
+        table = _step_table_full(oracle.oracle_step, (oracle.OracleFunction(n, marked), ledger),
+                                 steps)
         quantum_calls = ledger.quantum_calls
     else:
-        table = _step_table_full(core.apply_step, (WalkConfig(n, marked, phase),), steps)
+        table = _step_table_full(core.apply_step, (core.WalkConfig(n, marked, phase),), steps)
     summary = {
         "n": n,
         "k": k,
@@ -247,7 +272,7 @@ def cmd_run(args) -> int:
         raise ValueError("exactly one of --n / --n-range is required")
 
     if args.n is not None:
-        core.check_int("n_vertices", args.n, 4)  # before the marked set and grids are sized
+        check_int("n_vertices", args.n, 4)  # before the marked set and grids are sized
         marked = _parse_marked(args, args.n)
         if args.engine != "reduced":
             _grid_guard(args.n)
@@ -282,6 +307,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_checks(args.profile)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -293,11 +320,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # runs and an mc k above n: refused before expected_runs_to_cover's work at a large k
-    core.check_int("runs", args.runs, 1)
+    from . import coverage
+
+    # runs, and in mc mode N and a k above it: refused before
+    # expected_runs_to_cover's work at a large k
+    check_int("runs", args.runs, 1)
     if args.mode == "mc":
         if args.n is None:
             raise ValueError("mc mode requires --n")
+        check_int("n_vertices", args.n, 4)
         if args.k > args.n:
             raise ValueError(f"k={args.k} out of range for n={args.n}")
         # both engines peak in the shared count: peak RSS at 4M draws, n=64, k 2
@@ -311,14 +342,19 @@ def cmd_stats(args) -> int:
             purpose = "the full-state grids and the Monte Carlo draws"
         _memory_guard(need, f"n={args.n}, k={args.k}, runs={args.runs}, trials={args.trials}",
                       purpose)
-    expected = stats.expected_runs_to_cover(args.k)  # refuses an oversized k at once
-    dist = stats.coverage_distribution(
-        args.k, args.runs, args.mode,
-        n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
-    )
+    expected = coverage.expected_runs_to_cover(args.k)  # refuses an oversized k at once
+    if args.mode == "exact":
+        dist = coverage.exact_coverage(args.k, args.runs)
+    else:
+        from . import stats
+
+        dist = stats.coverage_distribution(
+            args.k, args.runs, "mc",
+            n_vertices=args.n, trials=args.trials, seed=args.seed, engine=args.engine,
+        )
     probs = sorted(dist.probabilities.items())
     # exact fractions can pass Python's 4300-digit int-to-str limit (3.10.7+);
-    # the work bounds in `stats` keep them under about 35,000 digits
+    # the work bounds in `coverage` keep them under about 35,000 digits
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_limit(0)
@@ -353,6 +389,8 @@ def cmd_stats(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="walk",
         description="Scattering-walk search on complete graphs: run, verify, stats.",
@@ -374,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="run the invariant suites")
-    ver.add_argument("--profile", choices=tuple(verify.PROFILES), default="default")
+    ver.add_argument("--profile", choices=_PROFILES, default="default")
     ver.set_defaults(func=cmd_verify)
 
     st = sub.add_parser("stats", help="multi-run discovery statistics")

@@ -19,11 +19,12 @@ without its diagonal, remain only where the edge basis is the point:
 encoder and decoder of that order.
 
 Input contract.  Every graph size, vertex, count and step number in the
-package is read by `check_int`, which returns a Python int (so a narrow
-numpy integer cannot overflow N(N-1)) and refuses a bool, a float or any
-other non-integer, and a value below the bound, with one `ValueError`
-naming the parameter (`check_grid`, `to_grid` and `n_edge_states` too,
-at the edge order's bound N >= 2).  A marked set is read once, by
+package is read by `check_int`, defined without numpy in `contract` and
+re-exported here, which returns a Python int (so a narrow numpy integer
+cannot overflow N(N-1)) and refuses a bool, a float or any other
+non-integer, and a value below the bound, with one `ValueError` naming the
+parameter (`check_grid`, `to_grid` and `n_edge_states` too, at the edge
+order's bound N >= 2).  A marked set is read once, by
 `check_marked`, into a frozenset and the sorted, read-only vertex array
 `marked` that every marked block and class index derives from.  A phase is
 read by `check_phase` into a finite Python float.
@@ -57,6 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .contract import check_int
+
 __all__ = [
     "WalkConfig",
     "ScatteringCoefficients",
@@ -78,14 +81,6 @@ __all__ = [
     "marked_probability",
     "dense_step_operator",
 ]
-
-
-def check_int(name: str, value, low: int) -> int:
-    """`value` as a Python int; refuses a bool, a float or any other
-    non-integer, and a value below `low`, naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def check_phase(value) -> float:

@@ -1,16 +1,17 @@
-"""Measurement, end-to-end search runs, and multi-run discovery statistics.
+"""Measurement, end-to-end search runs, and simulated discovery statistics.
 
 A single search run takes the `OracleFunction` it queries, whose kickback
 is the phase pi/2, reads N, K and the optimal step count by one
 `reduced.optimal_steps`, evolves the uniform start that many steps (two
 oracle calls each), measures the walker's edge, and succeeds when both
 endpoints are marked.  Repeating runs discovers the marked vertices one
-edge at a time; this module provides the distribution of the number of
-distinct vertices found after r runs, both in the idealized model where
-every run returns a uniformly random marked edge (exact, from a Markov
-chain on the discovered-vertex count) and as a Monte Carlo estimate that
-keeps the real failure probability.  One transition law of that count
-serves the exact distribution and the expected runs to see every vertex.
+edge at a time; `coverage_distribution` gives the distribution of the
+number of distinct vertices found after r runs, both in the idealized
+model where every run returns a uniformly random marked edge (exact, from
+the Markov chain on the discovered-vertex count in `coverage`, which needs
+no numpy) and as a Monte Carlo estimate that keeps the real failure
+probability.  `CoverageDistribution` and `expected_runs_to_cover` are
+re-exported from `coverage`.
 Only the measurement is random, so the full-engine Monte Carlo evolves
 the state once per configuration and draws every measurement of it in
 one batch.  Both Monte Carlo engines hand their draws, as the runs that
@@ -24,12 +25,12 @@ drawn index, one or a batch, is decoded by `core.edge_endpoints`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, fsum, isqrt
+from math import comb, isqrt
 
 import numpy as np
 
-from . import core, oracle, reduced
+from . import core, coverage, oracle, reduced
+from .coverage import CoverageDistribution, expected_runs_to_cover
 from .oracle import OracleFunction, QueryLedger
 
 __all__ = [
@@ -41,11 +42,6 @@ __all__ = [
     "expected_runs_to_cover",
 ]
 
-# Bound on an exact chain's work, steps^2 x counts x bits of C(K,2): the
-# integer numerators gain up to that many bits per step.  A chain at the
-# bound takes 2-3.5 s of CPU on a 2-vCPU Xeon (Python 3.11).
-MAX_CHAIN_WORK = 10**10
-
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -55,34 +51,6 @@ class RunOutcome:
     success: bool
     steps_used: int
     oracle_calls: int
-
-
-@dataclass(frozen=True)
-class CoverageDistribution:
-    """Distribution of the number of distinct marked vertices after r runs.
-
-    probabilities maps the vertex count j to its probability, exact
-    fractions from the count chain in the idealized model and floats from
-    simulation.  The simulated model can place mass on j = 0 (every run
-    failed); the idealized one is supported on 2..min(K, 2r).
-    """
-
-    runs: int
-    probabilities: dict
-    mode: str
-    success_rate: float | None = None
-    oracle_calls: int | None = None
-
-    def __post_init__(self) -> None:
-        # a float sum, not an exact one: exact laws have denominators of up to
-        # about 100,000 bits, and fsum's error is at most one rounding
-        total = fsum(float(p) for p in self.probabilities.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"coverage probabilities sum to {total}, not 1")
-
-    def probability(self, j: int):
-        zero = Fraction(0) if self.mode == "idealized" else 0.0
-        return self.probabilities.get(j, zero)
 
 
 def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
@@ -223,9 +191,9 @@ def coverage_distribution(
     """Distribution of distinct marked vertices discovered after `runs` runs.
 
     mode="exact" computes exact rational probabilities in the idealized
-    model (every run yields a uniformly random marked edge) from the chain
-    on the discovered-vertex count, refusing one whose work exceeds
-    MAX_CHAIN_WORK before any arithmetic; mode="mc"
+    model (every run yields a uniformly random marked edge) by
+    `coverage.exact_coverage`, refusing a chain whose work exceeds
+    `coverage.MAX_CHAIN_WORK` before any arithmetic; mode="mc"
     simulates searches on a size-N graph, keeping real failures, with
     engine="reduced" sampling the exact measurement law and engine="full"
     evolving the state once through the oracle-driven walk and drawing all
@@ -240,8 +208,7 @@ def coverage_distribution(
     if engine not in ("reduced", "full"):
         raise ValueError(f"engine must be 'reduced' or 'full', got {engine!r}")
     if mode == "exact":
-        dist = _coverage_chain(k_marked, runs)
-        return CoverageDistribution(runs=runs, probabilities=dist, mode="idealized")
+        return coverage.exact_coverage(k_marked, runs)
     n_opt = reduced.optimal_steps(n_vertices, k_marked)  # reads N and K for both engines
     trials, rng = core.check_int("trials", trials, 1), np.random.default_rng(seed)
     simulate = _simulate_coverage_full if engine == "full" else _simulate_coverage_reduced
@@ -251,61 +218,3 @@ def coverage_distribution(
         mode="simulated",
         success_rate=int(np.count_nonzero(found)) / found.size, oracle_calls=calls,
     )
-
-
-def _count_step_weights(k_marked: int, j: int) -> dict[int, int]:
-    """One ideal run's law of the discovered-vertex count, as weights over
-    the C(K,2) marked pairs: two seen vertices, one new, or two new."""
-    new = k_marked - j
-    return {j: comb(j, 2), j + 1: j * new, j + 2: comb(new, 2)}
-
-
-def _check_chain_work(k_marked: int, steps: int, counts: int, what: str) -> None:
-    """Refuse, before any arithmetic, a chain whose work exceeds MAX_CHAIN_WORK."""
-    if steps * counts * steps * comb(k_marked, 2).bit_length() > MAX_CHAIN_WORK:
-        raise ValueError(f"{what} exceeds the exact chain's work bound "
-                         f"(steps^2 x counts x bits of C(k,2) <= {MAX_CHAIN_WORK:.0e})")
-
-
-def _coverage_chain(k_marked: int, runs: int) -> dict[int, Fraction]:
-    """Exact law of the discovered-vertex count after `runs` ideal runs.
-
-    The first run reveals two vertices, each later one steps the count by
-    `_count_step_weights`; numerators are integers over C(K,2)^(runs-1),
-    and counts of probability zero are left out.
-    """
-    _check_chain_work(k_marked, runs, min(k_marked, 2 * runs), f"runs={runs} at k={k_marked}")
-    weights = {2: 1}
-    for _ in range(runs - 1):
-        stepped: dict[int, int] = {}
-        for j, w in weights.items():
-            for j2, p in _count_step_weights(k_marked, j).items():
-                if p:
-                    stepped[j2] = stepped.get(j2, 0) + w * p
-        weights = stepped
-    denom = comb(k_marked, 2) ** (runs - 1)
-    return {j: Fraction(w, denom) for j, w in sorted(weights.items())}
-
-
-def expected_runs_to_cover(k_marked: int) -> Fraction:
-    """Expected ideal runs until every marked vertex has been seen.
-
-    Absorbing-chain analysis on the discovered-vertex count, which never
-    decreases: with C = C(K,2) and the weights w of `_count_step_weights`,
-    the expected further runs solve by back-substitution from e_K = 0,
-    e_j = (C + w_{j+1} e_{j+1} + w_{j+2} e_{j+2}) / (C - w_j), each kept as
-    an integer over the product of the (C - w_i), i = j..K-1, and reduced
-    once.  Exact result; a K whose work exceeds MAX_CHAIN_WORK is refused
-    before any arithmetic.
-    """
-    k_marked = core.check_int("k_marked", k_marked, 2)
-    _check_chain_work(k_marked, k_marked, 1, f"k={k_marked}")
-    pairs = comb(k_marked, 2)
-    # e_{j+1} = num / den and e_{j+2} = num_next / (den / leave)
-    num, den, leave, num_next = 0, 1, 1, 0
-    for j in range(k_marked - 1, 1, -1):
-        w = _count_step_weights(k_marked, j)
-        step = pairs * den + w[j + 1] * num + w[j + 2] * num_next * leave
-        leave = pairs - w[j]
-        num_next, num, den = num, step, leave * den
-    return 1 + Fraction(num, den)

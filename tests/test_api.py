@@ -1,13 +1,17 @@
 """Public surface: every exported name resolves, and so does every name the
 benchmark's tracer wraps, so deleting one fails here before a traced run.
-Every public entry point that takes a size, vertex, count or step number
-reads it by one contract, `core.check_int`, and every phase by
-`core.check_phase`."""
+The package root resolves its names on first use, and each import loads
+only the modules its caller runs.  Every public entry point that takes a
+size, vertex, count or step number reads it by one contract,
+`core.check_int`, and every phase by `core.check_phase`."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,51 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, f"{README}: Quick start (API)", "exec"), {})
     assert capsys.readouterr().out.endswith("5/2\n")  # expected_runs_to_cover(3)
+
+
+def test_dir_lists_every_name_in_all():
+    missing = set(scatterwalk.__all__) - set(dir(scatterwalk))
+    assert not missing, f"dir(scatterwalk) lacks {sorted(missing)}"
+
+
+def test_an_unknown_root_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        scatterwalk.no_such_name
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace = {}
+    exec("from scatterwalk import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(scatterwalk.__all__)
+
+
+def loaded_modules(code):
+    """The names in sys.modules after `code` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(run.stderr.splitlines()[-1].split())
+
+
+# code run in a fresh interpreter -> modules it must not load
+IMPORT_GRAPH = {
+    "import scatterwalk": ("numpy", *(f"scatterwalk.{module}" for module in MODULES)),
+    "from scatterwalk import cli; cli.main(['stats', '--k', '3', '--runs', '2'])": (
+        "numpy", "scatterwalk.core", "scatterwalk.stats", "scatterwalk.verify"),
+    "from scatterwalk import cli; cli.main(['run', '--engine', 'reduced', '--n', '100', "
+    "'--k', '2'])": ("scatterwalk.stats", "scatterwalk.verify"),
+    "from scatterwalk import reduced": (
+        "scatterwalk.oracle", "scatterwalk.stats", "scatterwalk.verify", "fractions"),
+}
+
+
+@pytest.mark.parametrize("code", IMPORT_GRAPH)
+def test_each_import_loads_only_what_its_caller_runs(code):
+    loaded = loaded_modules(code)
+    assert "scatterwalk" in loaded
+    unwanted = sorted(loaded.intersection(IMPORT_GRAPH[code]))
+    assert not unwanted, f"{code!r} loads {unwanted}"
 
 
 CONFIG = sw.WalkConfig(10, {0, 1}, 0.5)

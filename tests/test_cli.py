@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scatterwalk.core as core
-from scatterwalk import oracle, reduced, stats, verify
+from scatterwalk import cli, oracle, reduced, stats, verify
 from scatterwalk.cli import main, parse_phase
 from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import QueryLedger
@@ -415,6 +415,10 @@ class TestVerifyCommand:
         assert run_cli("verify", "--profile", "loose") == 2
         assert "(choose from 'default', 'strict')" in capsys.readouterr().err
 
+    def test_parser_lists_the_profiles_of_verify(self):
+        # the parser names the profiles itself, so `run` and `stats` do not import verify
+        assert cli._PROFILES == tuple(verify.PROFILES)
+
     def test_fault_injection_fails_unitarity(self, monkeypatch, capsys):
         # break r + t = 1; the dense operator is assembled from both
         # coefficients, so its unitarity check must catch this
@@ -591,6 +595,16 @@ class TestStatsCommand:
                      "--runs", "2")
         assert rc == 2
         assert capsys.readouterr().err == "error: k=70 out of range for n=64\n"
+
+    @pytest.mark.parametrize("engine", ["reduced", "full"])
+    def test_mc_invalid_n_exits_2_naming_n_before_k(self, engine, capsys):
+        # N is read by the input contract before K is compared with it
+        rc = run_cli("stats", "--mode", "mc", "--engine", engine, "--n", "-5", "--k", "3",
+                     "--runs", "2")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_vertices must be an integer >= 4, got -5\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from scatterwalk import core, oracle, reduced, stats
+from scatterwalk import core, coverage, oracle, reduced, stats
 from scatterwalk.core import WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 from scatterwalk.stats import (
@@ -228,9 +228,9 @@ class TestCoverageExact:
     def test_work_bound_enforced(self, monkeypatch):
         # (5, 9) has 10^9 outcomes, past the old enumeration; the chain is
         # cheap, and its work, steps^2 x counts x bits of C(k,2), is 9*9*5*4
-        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 1620)
+        monkeypatch.setattr(coverage, "MAX_CHAIN_WORK", 1620)
         assert coverage_distribution(5, 9).probabilities == coverage_by_enumeration(5, 9)
-        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 1619)
+        monkeypatch.setattr(coverage, "MAX_CHAIN_WORK", 1619)
         with pytest.raises(ValueError, match="work bound"):
             coverage_distribution(5, 9)
         monkeypatch.undo()
@@ -428,9 +428,9 @@ class TestExpectedRuns:
 
     def test_work_bound_enforced(self, monkeypatch):
         # K^2 x bits of C(K,2): 4 * 4 * 3 = 48 for K = 4
-        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 48)
+        monkeypatch.setattr(coverage, "MAX_CHAIN_WORK", 48)
         assert expected_runs_to_cover(4) == Fraction(19, 5)
-        monkeypatch.setattr(stats, "MAX_CHAIN_WORK", 47)
+        monkeypatch.setattr(coverage, "MAX_CHAIN_WORK", 47)
         with pytest.raises(ValueError, match="work bound"):
             expected_runs_to_cover(4)
         monkeypatch.undo()
