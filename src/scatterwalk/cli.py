@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import partial
 from itertools import islice
 
 from .contract import check_int
@@ -175,7 +176,7 @@ def _parse_marked(args, n: int) -> frozenset[int]:
     return marked
 
 
-def _step_table(weights: np.ndarray, p_marked: np.ndarray, residual: np.ndarray,
+def _step_table(weights: np.ndarray, residual: np.ndarray, p_marked: np.ndarray,
                 norm: np.ndarray) -> dict[str, list]:
     """The step records of one graph size, one column per field."""
     import numpy as np
@@ -200,27 +201,7 @@ def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, l
     # is a sqrt, which rounds a sum of 1 - 2**-53 to another float
     total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
     norm = np.array([t ** 0.5 for t in total.tolist()])
-    return _step_table(weights, weights[:, 3], np.zeros(steps + 1), norm)
-
-
-def _step_table_full(step, walk: tuple, steps: int) -> dict[str, list]:
-    """Step records of one grid stepped in place by `step(grid, *walk)`, each
-    step reading the record of the grid it steps; the last grid is read by
-    `reduced.observe`.  `walk[0]` is the `WalkConfig` or `OracleFunction`
-    whose N and marked set are walked."""
-    import numpy as np
-
-    from . import core, reduced
-
-    grid = core.initial_grid(walk[0].n_vertices)
-    comps = np.empty((steps + 1, 4), dtype=np.complex128)
-    residual, p_marked, norm = np.empty((3, steps + 1))
-    for i in range(steps):
-        grid, record = step(grid, *walk, out=grid, reader=reduced.read_strips)
-        comps[i], residual[i], p_marked[i], norm[i] = record
-    record = reduced.observe(grid, walk[0].marked)
-    comps[steps], residual[steps], p_marked[steps], norm[steps] = record
-    return _step_table(np.abs(comps) ** 2, p_marked, residual, norm)
+    return _step_table(weights, np.zeros(steps + 1), weights[:, 3], norm)
 
 
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
@@ -242,16 +223,17 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
     if engine == "oracle" and phase != math.pi / 2:
         raise ValueError("engine=oracle implements phase pi/2 only")
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
-    quantum_calls = 2 * steps
+    ledger = oracle.QueryLedger()
     if engine == "reduced":
         table = _step_table_reduced(n, k, phase, steps)
-    elif engine == "oracle":
-        ledger = oracle.QueryLedger()
-        table = _step_table_full(oracle.oracle_step, (oracle.OracleFunction(n, marked), ledger),
-                                 steps)
-        quantum_calls = ledger.quantum_calls
     else:
-        table = _step_table_full(core.apply_step, (core.WalkConfig(n, marked, phase),), steps)
+        if engine == "oracle":
+            step = partial(oracle.oracle_step, ledger=ledger)
+            walk = oracle.OracleFunction(n, marked)
+        else:
+            step, walk = core.apply_step, core.WalkConfig(n, marked, phase)
+        comps, *record = reduced.step_records(step, walk, steps)
+        table = _step_table(abs(comps) ** 2, *record)
     summary = {
         "n": n,
         "k": k,
@@ -260,7 +242,7 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
         "n_opt": n_opt,
         "p_final": table["p_marked"][-1],
         "p_peak": max(table["p_marked"]),
-        "quantum_calls": quantum_calls,
+        "quantum_calls": ledger.quantum_calls if engine == "oracle" else 2 * steps,
         "classical_queries": oracle.classical_query_baseline(n, k),
     }
     return table, summary

@@ -26,7 +26,8 @@ marked-edge probability and the norm.  `read_strips` does the reading, in
 strips along the grid's memory rows, so no leftover grid is built;
 `observe` hands it the strips of a grid at rest, and
 `core.step_grid(..., reader=read_strips)` those of the grid it steps, each
-just before writing over it.  `project` validates a grid for `observe`.
+just before writing over it; `step_records`, the loop behind every step
+record, steps with it.  `project` validates a grid for `observe`.
 N, K and step counts are read by `core.check_int`, so N >= 4, K >= 2 and
 steps >= 0 are Python ints here; K <= N-2 and N(N-1) within the float
 range are checked on top.
@@ -52,6 +53,7 @@ __all__ = [
     "reduced_initial_state",
     "observe",
     "read_strips",
+    "step_records",
     "project",
     "spectral_decompose",
     "evolve_reduced",
@@ -63,6 +65,12 @@ __all__ = [
 
 #: warn about the closed-form asymptotics beyond this value of sqrt(x)
 ASYMPTOTIC_QUALITY_THRESHOLD = 0.2
+
+#: floor(pi * 10**_PI_DIGITS): 45 digits more than the 155 of the largest accepted N
+_PI_DIGITS = 200
+_PI = int("3141592653589793238462643383279502884197169399375105820974944592307816"
+          "4062862089986280348253421170679821480865132823066470938446095505822317"
+          "2535940812848111745028410270193852110555964462294895493038196")
 
 def _check_range(n_vertices: int, k_marked: int) -> tuple[int, int]:
     n, k = core.check_int("n_vertices", n_vertices, 4), core.check_int("k_marked", k_marked, 2)
@@ -186,6 +194,22 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
     return np.array(comps), math.sqrt(leftover_sq), p_marked, math.sqrt(norm_sq)
 
 
+def step_records(step, walk, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(c1..c4, residual, p_marked, norm) columns of rows 0..steps of the uniform grid of
+    `walk`, a `WalkConfig` or `OracleFunction`, stepped in place by `step(grid, walk,
+    out=grid, reader=read_strips)`: row i is read by step i + 1, the last by `observe`."""
+    _check_range(walk.n_vertices, len(walk.marked))
+    steps = core.check_int("steps", steps, 0)
+    grid = core.initial_grid(walk.n_vertices)
+    comps = np.empty((steps + 1, 4), dtype=np.complex128)
+    residual, p_marked, norm = np.empty((3, steps + 1))
+    for i in range(steps):
+        grid, (comps[i], residual[i], p_marked[i], norm[i]) = step(
+            grid, walk, out=grid, reader=read_strips)
+    comps[steps], residual[steps], p_marked[steps], norm[steps] = observe(grid, walk.marked)
+    return comps, residual, p_marked, norm
+
+
 def project(state: np.ndarray, config: WalkConfig) -> tuple[np.ndarray, float]:
     """Overlaps (c1..c4) of an N x N grid with the class basis, plus residual.
 
@@ -286,6 +310,21 @@ def asymptotic_amplitudes(n_vertices: int, k_marked: int, steps: int) -> np.ndar
 
 
 def optimal_steps(n_vertices: int, k_marked: int) -> int:
-    """Step count round(pi/(4x)) (ties to even) that maximizes the marked-edge
-    probability at phase pi/2, the large-N optimum."""
-    return round(np.pi / (4 * localization_rate(n_vertices, k_marked)))
+    """Step count round(pi/(4x)) that maximizes the marked-edge probability at
+    phase pi/2, the large-N optimum, rounded exactly for every accepted N.
+
+    pi/(4x) = pi (N-1) / (4 sqrt(K(K-1))) is irrational, so never a tie, and
+    rounds to (floor(pi/(2x)) + 1) // 2.  That floor is the integer square
+    root of floor((pi (N-1))^2 / (4K(K-1))), taken in integers at both ends
+    of pi's 200-digit bracket; the two agree unless pi/(2x) is within about
+    1e-45 of an integer, which is refused.  A float pi/(4x) would round the
+    wrong way wherever it lies within a few ulps of a half-integer, as at
+    (N, K) = (3837116321772, 13).
+    """
+    n, k = _check_range(n_vertices, k_marked)
+    scale = 4 * k * (k - 1) * 10 ** (2 * _PI_DIGITS)
+    low, high = (math.isqrt((pi * (n - 1)) ** 2 // scale) for pi in (_PI, _PI + 1))
+    if low != high:
+        raise ValueError(f"pi to {_PI_DIGITS} digits cannot round the optimal step count "
+                         f"at n_vertices={n}, k_marked={k}")
+    return (low + 1) // 2

@@ -55,8 +55,8 @@ def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _packed_step(step, state: np.ndarray, n: int, *args) -> np.ndarray:
-    """step(grid, *args) of a packed state, unpacked and packed again: the suites keep
-    states packed, so a stepped grid's alternating memory order never moves their rounding."""
+    """step(grid, *args) of a packed state, unpacked and packed again: the unitarity and
+    circuit suites compare packed columns with the dense operator's."""
     return core.to_packed(step(core.to_grid(state, n), *args))
 
 
@@ -130,29 +130,25 @@ def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterat
 
 
 def check_subspace_closure(dense_max_n: int, random_states: int) -> Iterator[Case]:
-    """Evolution started from the uniform state never leaves the class span."""
+    """The full engine's step records, from the uniform state, never leave the class span."""
     config = WalkConfig(n_vertices=30, marked_set=frozenset(range(3)), phase=np.pi / 2)
-    state = core.to_packed(core.initial_grid(30))
-    for step in range(200):
-        state = _packed_step(core.apply_step, state, 30, config)
-        _, residual = reduced.project(core.to_grid(state, 30), config)
+    _, residuals, _, _ = reduced.step_records(core.apply_step, config, 200)
+    for step, residual in enumerate(residuals[1:].tolist(), 1):
         yield (residual, 1e-10,
-               f"residual {residual:.3e} after {step + 1} steps at N=30, K=3, phi=pi/2")
+               f"residual {residual:.3e} after {step} steps at N=30, K=3, phi=pi/2")
 
 
 def check_full_reduced_equivalence(dense_max_n: int, random_states: int) -> Iterator[Case]:
-    """Marked-edge probability agrees between the full and reduced engines."""
+    """The full engine's step records agree on p_marked with the reduced engine."""
     for n, k in ((12, 2), (30, 3)):
         config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=np.pi / 2)
         op = reduced.reduced_operator(n, k, np.pi / 2)
-        state = core.to_packed(core.initial_grid(n))
+        _, _, p_marked, _ = reduced.step_records(core.apply_step, config, 150)
         comps = reduced.reduced_initial_state(n, k)
-        for step in range(150):
-            state = _packed_step(core.apply_step, state, n, config)
+        for step, p in enumerate(p_marked[1:].tolist(), 1):
             comps = op @ comps
-            err = abs(core.marked_probability(core.to_grid(state, n), config)
-                      - abs(comps[3]) ** 2)
-            yield err, 1e-10, f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step + 1}"
+            err = abs(p - abs(comps[3]) ** 2)
+            yield err, 1e-10, f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step}"
 
 
 def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[Case]:

@@ -75,6 +75,13 @@ class TestRunCommand:
         assert summary["n_opt"] == "27"
         assert summary["quantum_calls"] == "54"
 
+    def test_n_opt_is_exact_where_the_float_formula_is_not(self, tmp_path):
+        # pi/(4x) = 241286235210.50004, within float rounding of the half-integer
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--engine", "reduced", "--n", "3837116321772", "--k", "13",
+                       "--steps", "0", "--out", str(out)) == 0
+        assert read_csv(out)[2]["n_opt"] == "241286235211"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ("run", "--n", "40", "--k", "3", "--steps", "auto", "--seed", "9")
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -401,9 +408,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("profile, passed", [("default", True), ("strict", False)])
     def test_strict_profile_tightens_the_advertised_tolerance(self, profile, passed,
                                                                monkeypatch):
-        # a 5e-14 offset sits between the fixed point's 1e-13 and its strict 1e-14
+        # a 5e-14 offset sits between the fixed point's 1e-13 and its strict 1e-14, on
+        # the plain steps it compares; step_records' in-place, read steps pass through
         step = core.apply_step
-        monkeypatch.setattr(core, "apply_step", lambda state, config: step(state, config) + 5e-14)
+        monkeypatch.setattr(core, "apply_step", lambda state, config, **kw: step(
+            state, config, **kw) if kw else step(state, config) + 5e-14)
         result = {r.name: r for r in verify.run_checks(profile)}["fixed-point"]
         assert result.passed is passed
         if not passed:
@@ -414,6 +423,16 @@ class TestVerifyCommand:
             verify.run_checks("loose")
         assert run_cli("verify", "--profile", "loose") == 2
         assert "(choose from 'default', 'strict')" in capsys.readouterr().err
+
+    def test_subspace_closure_reads_the_residuals_walk_run_prints(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli("run", "--engine", "full", "--n", "30", "--marked-list", "0,1,2",
+                       "--steps", "200", "--out", str(out)) == 0
+        header, rows, _ = read_csv(out)
+        worst = max(float(row[header.index("residual")]) for row in rows[1:])
+        assert max(case[0] for case in verify.check_subspace_closure(10, 20)) == worst
+        result = {r.name: r for r in verify.run_checks()}["subspace-closure"]
+        assert result.detail == f"max residual {worst:.3e} over 200 steps"
 
     def test_parser_lists_the_profiles_of_verify(self):
         # the parser names the profiles itself, so `run` and `stats` do not import verify
@@ -438,16 +457,19 @@ class TestVerifyCommand:
         "suite, module, name, fault, where",
         [
             pytest.param(*case, id=case[0]) for case in [
-                ("fixed-point", core, "apply_step",
-                 lambda step: lambda state, config: step(state, config) + 1e-9, "at N=3, K=0"),
+                ("fixed-point", core, "apply_step",  # on plain steps, not step_records' ones
+                 lambda step: lambda state, config, **kw: step(state, config, **kw) if kw
+                 else step(state, config) + 1e-9, "at N=3, K=0"),
                 ("projection-consistency", reduced, "reduced_operator",
                  lambda build: lambda n, k, phase: build(n, k, phase) + 1e-9,
                  "at N=4, K=2, phi=0"),
-                ("subspace-closure", reduced, "project",
-                 lambda project: lambda state, config: (project(state, config)[0], 1.0),
+                ("subspace-closure", reduced, "step_records",
+                 lambda records: lambda *args: (lambda comps, residual, p, norm: (
+                     comps, residual + 1.0, p, norm))(*records(*args)),
                  "after 1 steps at N=30, K=3, phi=pi/2"),
-                ("full-reduced-equivalence", core, "marked_probability",
-                 lambda prob: lambda state, config: prob(state, config) + 1e-6,
+                ("full-reduced-equivalence", reduced, "step_records",
+                 lambda records: lambda *args: (lambda comps, residual, p, norm: (
+                     comps, residual, p + 1e-6, norm))(*records(*args)),
                  "at N=12, K=2, step=1"),
                 ("circuit-isomorphism", oracle, "oracle_step",  # skips its ledger charge
                  lambda step: lambda state, f, ledger, out=None: step(
@@ -490,10 +512,11 @@ class TestVerifyCommand:
 
     def test_nan_deviation_fails_the_suite(self, monkeypatch, capsys):
         # NaN compares false with every tolerance, so a NaN from the
-        # unmarked step must fail a suite rather than pass it silently
+        # unmarked step must fail a suite rather than pass it silently;
+        # step_records' in-place, read steps pass through
         step = core.apply_step
-        monkeypatch.setattr(core, "apply_step", lambda state, config: step(state, config)
-                            * (np.nan if config.k_marked == 0 else 1.0))
+        monkeypatch.setattr(core, "apply_step", lambda state, config, **kw: step(
+            state, config, **kw) if kw or config.k_marked else step(state, config) * np.nan)
         result = {r.name: r for r in verify.run_checks()}["fixed-point"]
         assert not result.passed
         assert result.detail == "deviation nan at N=3, K=0"

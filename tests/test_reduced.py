@@ -1,13 +1,17 @@
 """Reduction to the four-class basis: operator, projection, spectral evolution."""
 
+import math
 import re
 import warnings
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
-from scatterwalk import core, reduced
+from scatterwalk import core, oracle, reduced
 from scatterwalk.core import WalkConfig
+from scatterwalk.oracle import OracleFunction, QueryLedger
 from scatterwalk.reduced import (
     asymptotic_amplitudes,
     evolve_reduced,
@@ -20,10 +24,12 @@ from scatterwalk.reduced import (
 )
 
 from helpers import (
+    edge_endpoint_arrays,
     grid_of,
     mp_search_components,
     naive_class_basis,
     naive_dense_operator,
+    naive_grid_step,
     random_state,
     scan_optimal_steps,
 )
@@ -389,3 +395,87 @@ class TestOptimalSteps:
         op = reduced_operator(1000, 2, np.pi / 2)
         comps = evolve_reduced(reduced_initial_state(1000, 2), op, 555)
         assert abs(comps[3]) ** 2 >= P_MARKED_N1000_AT_555 - 1e-9
+
+    @pytest.mark.parametrize("n, k", [(3837116321772, 13), *(
+        pytest.param(10**e, k, id=f"1e{e}-{k}")
+        for e in (17, 20, 30, 100, 150) for k in (2, 3, 8))])
+    def test_exact_where_the_float_formula_is_not(self, n, k):
+        # 80 digits beyond the integer part: pi/(4x) has up to 150 digits before the point
+        with mpmath.workdps(len(str(n)) + 80):
+            exact = int(mpmath.nint(mpmath.pi * (n - 1) / (4 * mpmath.sqrt(k * (k - 1)))))
+        assert optimal_steps(n, k) == exact
+        if (n, k) == (3837116321772, 13):  # pi/(4x) = 241286235210.50004
+            assert exact == 241286235211 == round(np.pi / (4 * localization_rate(n, k))) + 1
+
+    def test_equals_the_float_formula_where_that_is_exact(self):
+        # 100,000 N log-uniform below 1e12; wherever the float rounds the other
+        # way (none at this seed), 50 digits must side with the integers
+        rng = np.random.default_rng(26)
+        sizes = np.exp(rng.uniform(math.log(4), math.log(1e12), 100_000)).astype(np.int64)
+        for n in sizes.tolist():
+            k = int(rng.integers(2, min(n - 2, 64) + 1))
+            got = optimal_steps(n, k)
+            if got != round(np.pi / (4 * localization_rate(n, k))):
+                with mpmath.workdps(50):
+                    v = mpmath.pi * (n - 1) / (4 * mpmath.sqrt(k * (k - 1)))
+                    assert got == int(mpmath.nint(v)), (n, k)
+
+    def test_a_pi_bracket_too_wide_to_round_is_refused(self, monkeypatch):
+        # with pi in [3.14, 3.15], pi/(2x) at N = 1001, K = 2 lies in [1110.2, 1113.7]
+        monkeypatch.setattr(reduced, "_PI", 314)
+        monkeypatch.setattr(reduced, "_PI_DIGITS", 2)
+        assert optimal_steps(101, 2) == 56
+        with pytest.raises(ValueError, match="pi to 2 digits cannot round the optimal step "
+                                             "count at n_vertices=1001, k_marked=2"):
+            optimal_steps(1001, 2)
+
+    def test_pi_constant_is_pi_to_its_digits(self):
+        digits = reduced._PI_DIGITS
+        with mpmath.workdps(digits + 20):
+            assert reduced._PI == int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** digits))
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("engine", ["apply_step", "oracle_step"])
+    def test_records_match_naive_steps_on_the_naive_class_basis(self, engine, monkeypatch):
+        # N = 300 reads 109-row strips, so 0, 150 and 299 sit in all three, and a
+        # grid stepped in place alternates its memory order: the reader's row
+        # and transposed branches both run
+        n, marked, steps = 300, (0, 150, 299), 6
+        ledger = QueryLedger()
+        if engine == "oracle_step":
+            step = partial(oracle.oracle_step, ledger=ledger)
+            walk = OracleFunction(n, frozenset(marked))
+        else:
+            step, walk = core.apply_step, WalkConfig(n, frozenset(marked), np.pi / 2)
+        read, branches = reduced.read_strips, []
+
+        def spied(grid, colsum, marked, transposed, strips):
+            branches.append(transposed)
+            return read(grid, colsum, marked, transposed, strips)
+
+        monkeypatch.setattr(reduced, "read_strips", spied)
+        comps, residual, p_marked, norm = reduced.step_records(step, walk, steps)
+        assert sorted(set(branches)) == [False, True] and len(branches) == steps + 1
+        if engine == "oracle_step":
+            assert ledger.quantum_calls == 2 * steps
+        basis = naive_class_basis(n, marked)
+        sources, targets = edge_endpoint_arrays(n)
+        inner = basis[:, 3] != 0
+        grid = np.full((n, n), 1 / math.sqrt(n * (n - 1)), dtype=complex)
+        np.fill_diagonal(grid, 0.0)
+        for i in range(steps + 1):
+            state = grid[sources, targets]
+            expected = basis.conj().T @ state
+            assert np.abs(comps[i] - expected).max() < 1e-12
+            assert abs(residual[i] - np.linalg.norm(state - basis @ expected)) < 1e-12
+            assert abs(p_marked[i] - np.sum(np.abs(state[inner]) ** 2)) < 1e-12
+            assert abs(norm[i] - np.linalg.norm(state)) < 1e-12
+            grid = naive_grid_step(grid, marked, np.pi / 2)
+
+    def test_refuses_what_a_record_cannot_read(self):
+        for walk in (WalkConfig(10, frozenset({0})), OracleFunction(10, frozenset(range(9)))):
+            with pytest.raises(ValueError, match="k_marked"):
+                reduced.step_records(core.apply_step, walk, 3)
+        with pytest.raises(ValueError, match="steps"):
+            reduced.step_records(core.apply_step, config(10, 2), -1)
