@@ -6,7 +6,10 @@ verify executes the invariant suites and reports pass/fail per suite.
 stats  prints multi-run discovery statistics, exact or simulated.
 
 `run` and `stats` build one table, a dict of equal-length columns of
-Python values (int, float, str or None), plus a summary dict.  One CSV
+Python values (int, float, str or None), plus a summary dict.  `run` only
+formats the step records of `reduced.step_records` (full, oracle engines)
+or `reduced.series_records` (reduced); a sweep keeps each point's summary,
+read from the p_marked column, and builds no step table.  One CSV
 writer and one JSON writer format every table: the CSV writer picks each
 column's printf format once, from its first value, and the JSON rows are
 dicts zipped from the columns.  Both stream their text in batches.
@@ -176,36 +179,19 @@ def _parse_marked(args, n: int) -> frozenset[int]:
     return marked
 
 
-def _step_table(weights: np.ndarray, residual: np.ndarray, p_marked: np.ndarray,
+def _step_table(comps: np.ndarray, residual: np.ndarray, p_marked: np.ndarray,
                 norm: np.ndarray) -> dict[str, list]:
     """The step records of one graph size, one column per field."""
-    import numpy as np
-
-    w1, w2, w3, w4 = weights.T.tolist()
+    w1, w2, w3, w4 = (abs(comps) ** 2).T.tolist()
     return {
-        "step": list(range(len(weights))), "p_marked": p_marked.tolist(),
+        "step": list(range(len(comps))), "p_marked": p_marked.tolist(),
         "p_w1": w1, "p_w2": w2, "p_w3": w3, "p_w4": w4,
-        "residual": residual.tolist(), "norm_error": np.abs(norm - 1.0).tolist(),
+        "residual": residual.tolist(), "norm_error": abs(norm - 1.0).tolist(),
     }
 
 
-def _step_table_reduced(n: int, k: int, phase: float, steps: int) -> dict[str, list]:
-    import numpy as np
-
-    from . import reduced
-
-    op = reduced.reduced_operator(n, k, phase)
-    series = reduced.component_series(op, reduced.reduced_initial_state(n, k), steps)
-    weights = np.abs(series) ** 2
-    # the norm is Python's ** 0.5 of the left-to-right sum: numpy's 0.5-power
-    # is a sqrt, which rounds a sum of 1 - 2**-53 to another float
-    total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
-    norm = np.array([t ** 0.5 for t in total.tolist()])
-    return _step_table(weights, np.zeros(steps + 1), weights[:, 3], norm)
-
-
 def _single_run(args, n: int, marked: frozenset[int], phase: float):
-    """(step table, summary) for one graph size."""
+    """(step record columns, summary) for one graph size."""
     from . import core, oracle, reduced
 
     k, engine = len(marked), args.engine
@@ -225,27 +211,25 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
     _memory_guard((steps + 1) * _ROW_BYTES[args.format], f"steps={steps}", "its step records")
     ledger = oracle.QueryLedger()
     if engine == "reduced":
-        table = _step_table_reduced(n, k, phase, steps)
+        records = reduced.series_records(n, k, phase, steps)
+    elif engine == "oracle":
+        records = reduced.step_records(partial(oracle.oracle_step, ledger=ledger),
+                                       oracle.OracleFunction(n, marked), steps)
     else:
-        if engine == "oracle":
-            step = partial(oracle.oracle_step, ledger=ledger)
-            walk = oracle.OracleFunction(n, marked)
-        else:
-            step, walk = core.apply_step, core.WalkConfig(n, marked, phase)
-        comps, *record = reduced.step_records(step, walk, steps)
-        table = _step_table(abs(comps) ** 2, *record)
+        records = reduced.step_records(core.apply_step, core.WalkConfig(n, marked, phase), steps)
+    p_marked = records[2].tolist()
     summary = {
         "n": n,
         "k": k,
         "engine": engine,
         "steps": steps,
         "n_opt": n_opt,
-        "p_final": table["p_marked"][-1],
-        "p_peak": max(table["p_marked"]),
+        "p_final": p_marked[-1],
+        "p_peak": max(p_marked),
         "quantum_calls": ledger.quantum_calls if engine == "oracle" else 2 * steps,
         "classical_queries": oracle.classical_query_baseline(n, k),
     }
-    return table, summary
+    return records, summary
 
 
 def cmd_run(args) -> int:
@@ -259,6 +243,7 @@ def cmd_run(args) -> int:
         if args.engine != "reduced":
             _grid_guard(args.n)
         table, summary = _single_run(args, args.n, marked, phase)
+        table = _step_table(*table)  # the record arrays are freed before the rows are written
         spec = {
             "command": "run", "n": args.n, "k": len(marked),
             "marked": sorted(marked), "phase": phase, "phase_token": args.phase,

@@ -26,8 +26,9 @@ marked-edge probability and the norm.  `read_strips` does the reading, in
 strips along the grid's memory rows, so no leftover grid is built;
 `observe` hands it the strips of a grid at rest, and
 `core.step_grid(..., reader=read_strips)` those of the grid it steps, each
-just before writing over it; `step_records`, the loop behind every step
-record, steps with it.  `project` validates a grid for `observe`.
+just before writing over it; `step_records`, the loop behind the full and
+oracle engines' step records, steps with it, and `series_records` gives
+the reduced engine's, from `component_series`.  `project` validates a grid.
 N, K and step counts are read by `core.check_int`, so N >= 4, K >= 2 and
 steps >= 0 are Python ints here; K <= N-2 and N(N-1) within the float
 range are checked on top.
@@ -54,6 +55,7 @@ __all__ = [
     "observe",
     "read_strips",
     "step_records",
+    "series_records",
     "project",
     "spectral_decompose",
     "evolve_reduced",
@@ -252,13 +254,16 @@ def spectral_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vecs
 
 
-def _spectral_powers(eigenvalues: np.ndarray, steps) -> np.ndarray:
-    """Eigenvalues to the power `steps` (an int or an array of them), taken
-    as phases exp(i n theta): a power lambda ** n would carry the
-    rounding-level modulus error of lambda as |lambda| ** n."""
-    n = np.asarray(steps, dtype=np.float64)
-    phases = np.multiply.outer(n, np.angle(eigenvalues)) * 1j
-    return np.exp(phases, out=phases)
+def _spectral_states(op: np.ndarray, state: np.ndarray, steps) -> np.ndarray:
+    """Reduced state after `steps`, an int or an array of step counts, each eigenvalue's power
+    taken as a phase exp(i n theta): a power lambda ** n would carry the rounding-level
+    modulus error of lambda as |lambda| ** n."""
+    state = _reduced_state(state)
+    eigenvalues, vecs = spectral_decompose(op)
+    powers = np.multiply.outer(np.asarray(steps, dtype=np.float64), np.angle(eigenvalues)) * 1j
+    np.exp(powers, out=powers)
+    powers *= vecs.conj().T @ state
+    return powers @ vecs.T
 
 
 def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
@@ -267,21 +272,29 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
     Computed through the spectral decomposition, each eigenvalue's power
     taken as a phase, so the cost does not grow with the step count.
     """
-    steps, state = core.check_int("steps", steps, 0), _reduced_state(state)
-    eigenvalues, vecs = spectral_decompose(op)
-    coeff = vecs.conj().T @ state
-    return vecs @ (_spectral_powers(eigenvalues, steps) * coeff)
+    return _spectral_states(op, state, core.check_int("steps", steps, 0))
 
 
 def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndarray:
     """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
     the same spectral phases as `evolve_reduced`, and validated as it is."""
-    horizon, state = core.check_int("horizon", horizon, 0), _reduced_state(state)
-    eigenvalues, vecs = spectral_decompose(op)
-    coeff = vecs.conj().T @ state
-    powers = _spectral_powers(eigenvalues, np.arange(horizon + 1))
-    powers *= coeff
-    return powers @ vecs.T
+    return _spectral_states(op, state, np.arange(core.check_int("horizon", horizon, 0) + 1))
+
+
+def series_records(n_vertices: int, k_marked: int, phase: float,
+                   steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`step_records`' (c1..c4, residual, p_marked, norm) columns of rows 0..steps, for the
+    reduced engine: the `component_series` of the uniform start under
+    `reduced_operator(N, K, phi)`, whose residual is 0.  The norm is Python's ** 0.5 of
+    the left-to-right sum of the weights: numpy's 0.5-power is a sqrt, which rounds a sum
+    of 1 - 2**-53 to another float."""
+    steps = core.check_int("steps", steps, 0)
+    comps = component_series(reduced_operator(n_vertices, k_marked, phase),
+                             reduced_initial_state(n_vertices, k_marked), steps)
+    weights = np.abs(comps) ** 2
+    total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
+    norm = np.array([t ** 0.5 for t in total.tolist()])
+    return comps, np.zeros(steps + 1), weights[:, 3], norm
 
 
 def localization_rate(n_vertices: int, k_marked: int) -> float:

@@ -139,15 +139,16 @@ def check_subspace_closure(dense_max_n: int, random_states: int) -> Iterator[Cas
 
 
 def check_full_reduced_equivalence(dense_max_n: int, random_states: int) -> Iterator[Case]:
-    """The full engine's step records agree on p_marked with the reduced engine."""
+    """The full engine's step records agree on p_marked with the reduced engine's."""
     for n, k in ((12, 2), (30, 3)):
         config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=np.pi / 2)
-        op = reduced.reduced_operator(n, k, np.pi / 2)
-        _, _, p_marked, _ = reduced.step_records(core.apply_step, config, 150)
-        comps = reduced.reduced_initial_state(n, k)
-        for step, p in enumerate(p_marked[1:].tolist(), 1):
-            comps = op @ comps
-            err = abs(p - abs(comps[3]) ** 2)
+        _, _, full, _ = reduced.step_records(core.apply_step, config, 150)
+        try:
+            _, _, series, _ = reduced.series_records(n, k, np.pi / 2, 150)
+        except ValueError as exc:  # a 4x4 step that is not unitary has no spectral series
+            yield math.inf, 1e-10, f"{exc} at N={n}, K={k}"
+            continue
+        for step, err in enumerate(np.abs(full - series)[1:].tolist(), 1):
             yield err, 1e-10, f"p_marked differs by {err:.3e} at N={n}, K={k}, step={step}"
 
 

@@ -147,6 +147,9 @@ INTEGER_INPUTS = {
     "evolve_reduced-steps": ("steps", 0, lambda v: sw.evolve_reduced(STATE, OP, v), 5),
     "component_series-horizon": ("horizon", 0,
                                  lambda v: reduced.component_series(OP, STATE, v), 5),
+    "series_records-n_vertices": ("n_vertices", 4,
+                                  lambda v: reduced.series_records(v, 3, 0.5, 5), 10),
+    "series_records-steps": ("steps", 0, lambda v: reduced.series_records(10, 3, 0.5, v), 5),
     "OracleFunction-n_vertices": ("n_vertices", 3,
                                   lambda v: sw.OracleFunction(v, frozenset({0, 1})), 10),
     "OracleFunction-marked_set": ("marked vertex", 0,

@@ -142,6 +142,37 @@ class TestRunCommand:
         assert [r[0] for r in rows] == ["20", "30", "40"]
         assert summary["points"] == "3"
 
+    @pytest.mark.parametrize("engine, n_range, extra", [
+        ("reduced", "20:400:95", ("--k", "3")),
+        ("reduced", "4:104:25", ("--k", "2", "--steps", "0")),
+        ("reduced", "10:100:30", ("--k", "3", "--phase", "0.7", "--steps", "12")),
+        ("full", "10:40:10", ("--k", "2")),
+        ("full", "10:40:10", ("--k", "3", "--steps", "0")),
+        ("oracle", "10:40:10", ("--k", "2")),
+        ("oracle", "10:40:10", ("--k", "2", "--steps", "0")),
+    ])
+    def test_sweep_rows_are_the_summaries_of_single_runs(self, engine, n_range, extra,
+                                                         monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a sweep point built a step table")
+
+        out = tmp_path / "sweep.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_step_table", refuse)
+            assert run_cli("run", "--engine", engine, "--n-range", n_range, *extra,
+                           "--out", str(out)) == 0
+        header, rows, _ = read_csv(out)
+        keys = ("steps", "n_opt", "p_final", "p_peak", "quantum_calls", "classical_queries")
+        for row in rows:
+            single = tmp_path / f"run-{row[0]}.csv"
+            assert run_cli("run", "--engine", engine, "--n", row[0], *extra,
+                           "--out", str(single)) == 0
+            single_header, single_rows, summary = read_csv(single)
+            assert [row[header.index(key)] for key in keys] == [summary[key] for key in keys]
+            p_marked = [r[single_header.index("p_marked")] for r in single_rows]
+            assert (summary["p_final"], summary["p_peak"]) == (p_marked[-1],
+                                                               max(p_marked, key=float))
+
     def test_json_output(self, tmp_path):
         out = tmp_path / "run.json"
         rc = run_cli("run", "--n", "30", "--k", "2", "--steps", "auto",
@@ -238,6 +269,8 @@ class TestRunCommand:
             raise AssertionError("the output was allocated")
 
         monkeypatch.setattr(reduced, "component_series", refuse)
+        monkeypatch.setattr(reduced, "step_records", refuse)
+        monkeypatch.setattr(reduced, "series_records", refuse)
         monkeypatch.setattr(core, "to_grid", refuse)
         monkeypatch.setattr(core, "initial_grid", refuse)
         monkeypatch.setattr(stats, "coverage_distribution", refuse)
@@ -434,6 +467,21 @@ class TestVerifyCommand:
         result = {r.name: r for r in verify.run_checks()}["subspace-closure"]
         assert result.detail == f"max residual {worst:.3e} over 200 steps"
 
+    def test_full_reduced_equivalence_compares_the_p_marked_both_engines_print(self, tmp_path):
+        worst = 0.0
+        for n, k in ((12, 2), (30, 3)):
+            printed = []
+            for engine, marked in (("full", ("--marked-list", ",".join(map(str, range(k))))),
+                                   ("reduced", ("--k", str(k)))):
+                out = tmp_path / f"{engine}-{n}.csv"
+                assert run_cli("run", "--engine", engine, "--n", str(n), *marked,
+                               "--steps", "150", "--out", str(out)) == 0
+                header, rows, _ = read_csv(out)
+                printed.append([float(row[header.index("p_marked")]) for row in rows[1:]])
+            worst = max(worst, *(abs(p - q) for p, q in zip(*printed)))
+        result = {r.name: r for r in verify.run_checks()}["full-reduced-equivalence"]
+        assert result.detail == f"max deviation {worst:.3e}"
+
     def test_parser_lists_the_profiles_of_verify(self):
         # the parser names the profiles itself, so `run` and `stats` do not import verify
         assert cli._PROFILES == tuple(verify.PROFILES)
@@ -478,6 +526,15 @@ class TestVerifyCommand:
                 ("reference-values", reduced, "optimal_steps",
                  lambda steps: lambda n, k: steps(n, k) + 1, "n_opt(N=50,K=2): got 28, want 27"),
             ]
+        ] + [
+            pytest.param("full-reduced-equivalence", reduced, "series_records",
+                         lambda records: lambda *args: (lambda comps, residual, p, norm: (
+                             comps, residual, p + 1e-6, norm))(*records(*args)),
+                         "at N=12, K=2, step=1", id="full-reduced-equivalence-series_records"),
+            pytest.param("full-reduced-equivalence", reduced, "reduced_operator",
+                         lambda build: lambda n, k, phase: build(n, k, phase) * 1.01,
+                         "operator is not unitary: eigenvalues leave the unit circle at N=12, K=2",
+                         id="full-reduced-equivalence-not-unitary"),
         ],
     )
     def test_fault_injection_fails_each_suite(self, suite, module, name, fault, where,

@@ -318,6 +318,29 @@ class TestComponentSeries:
         total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
         assert np.abs(total ** 0.5 - 1.0).max() <= 1e-14
 
+    def test_evolve_reduced_is_a_row_of_the_series_to_rounding(self):
+        # both evaluate the same phases times the same coefficients; numpy's
+        # last 4-term product is a gemv for one state and a gemm for the
+        # series, whose rows round differently (1.12 eps at worst over 12,000
+        # random draws), so the two agree to rounding, not bit for bit.
+        # evolve_reduced itself is bit for bit the one-state formula, which
+        # the benchmark's probes read
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(27)
+        for trial in range(300):
+            n = int(10 ** rng.uniform(math.log10(6), 12))
+            k = int(rng.integers(2, min(n - 2, 40) + 1))
+            phase = (0.7, np.pi / 2, 2.1)[trial % 3]
+            op, state = reduced_operator(n, k, phase), reduced_initial_state(n, k)
+            eigenvalues, vecs = spectral_decompose(op)
+            horizon = int(rng.integers(0, 300))
+            series = reduced.component_series(op, state, horizon)
+            for step in rng.integers(0, horizon + 1, size=3).tolist():
+                evolved = evolve_reduced(state, op, step)
+                assert np.abs(evolved - series[step]).max() <= 4 * eps
+                phases = np.exp(1j * (step * np.angle(eigenvalues)))
+                assert np.array_equal(evolved, vecs @ (phases * (vecs.conj().T @ state)))
+
     @pytest.mark.parametrize("horizon", [2.5, -1, True, float("nan"), float("inf")])
     def test_refuses_the_step_counts_evolve_reduced_refuses(self, horizon):
         op, state = reduced_operator(6, 2, np.pi / 2), reduced_initial_state(6, 2)
@@ -479,3 +502,31 @@ class TestStepRecords:
                 reduced.step_records(core.apply_step, walk, 3)
         with pytest.raises(ValueError, match="steps"):
             reduced.step_records(core.apply_step, config(10, 2), -1)
+
+    @pytest.mark.parametrize("n, marked, phase, steps", [
+        (30, (0, 1, 2), np.pi / 2, 40),
+        (64, (3, 17, 31, 32, 60), np.pi, 40),
+        (300, (41, 187), 0.7, 12),
+    ])
+    def test_series_records_are_the_full_engine_records_of_the_reduced_engine(
+            self, n, marked, phase, steps):
+        full = reduced.step_records(core.apply_step, WalkConfig(n, frozenset(marked), phase),
+                                    steps)
+        series = reduced.series_records(n, len(marked), phase, steps)
+        assert [(a.shape, a.dtype) for a in series] == [(a.shape, a.dtype) for a in full]
+        comps, residual, p_marked, norm = series
+        assert np.abs(comps - full[0]).max() < 1e-12
+        assert np.abs(p_marked - full[2]).max() < 1e-12
+        assert not residual.any()
+        weights = (np.abs(comps) ** 2).tolist()
+        assert p_marked.tolist() == [w[3] for w in weights]
+        # Python's ** 0.5 of the weights summed left to right, as `walk run` prints it
+        assert norm.tolist() == [(((a + b) + c) + d) ** 0.5 for a, b, c, d in weights]
+
+    def test_series_records_refuse_what_the_reduction_refuses(self):
+        with pytest.raises(ValueError, match="k_marked"):
+            reduced.series_records(10, 9, np.pi / 2, 3)
+        with pytest.raises(ValueError, match="steps must be an integer >= 0, got -1"):
+            reduced.series_records(10, 2, np.pi / 2, -1)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            reduced.series_records(10, 2, float("nan"), 3)
