@@ -21,8 +21,6 @@ _HOMES = {
     "WalkConfig": "core",
     "ScatteringCoefficients": "core",
     "coefficients": "core",
-    "edge_index": "core",
-    "edge_endpoints": "core",
     "initial_grid": "core",
     "apply_step": "core",
     "evolve": "core",

@@ -11,20 +11,15 @@ State layout.  A state is an N x N complex grid, A[m, l] the amplitude
 of "traveling from m to l", with a zero diagonal; every function that
 steps or reads a state takes a grid only (`check_grid`).  A returned grid
 may be a transposed view: indexing is unaffected, only the memory order
-alternates.  Packed vectors, the N(N-1) amplitudes in canonical order
-index(m, l) = m*(N-1) + (l if l < m else l - 1), i.e. the grid row-major
-without its diagonal, remain only where the edge basis is the point:
-`to_grid`/`to_packed` and `dense_step_operator`.  `edge_index` and
-`edge_endpoints` (of one index or an integer array) are the package's only
-encoder and decoder of that order.
+alternates.  `dense_step_operator` acts on the cells of `grid.ravel()`.
+The packed edge order that a measurement reads belongs to `stats` alone.
 
 Input contract.  Every graph size, vertex, count and step number in the
 package is read by `check_int`, defined without numpy in `contract` and
 re-exported here, which returns a Python int (so a narrow numpy integer
 cannot overflow N(N-1)) and refuses a bool, a float or any other
 non-integer, and a value below the bound, with one `ValueError` naming the
-parameter (`check_grid`, `to_grid` and `n_edge_states` too, at the edge
-order's bound N >= 2).  A marked set is read once, by
+parameter (`check_grid` too, at N >= 2).  A marked set is read once, by
 `check_marked`, into a frozenset and the sorted, read-only vertex array
 `marked` that every marked block and class index derives from.  A phase is
 read by `check_phase` into a finite Python float.
@@ -64,11 +59,6 @@ __all__ = [
     "WalkConfig",
     "ScatteringCoefficients",
     "coefficients",
-    "edge_index",
-    "edge_endpoints",
-    "n_edge_states",
-    "to_grid",
-    "to_packed",
     "check_grid",
     "initial_grid",
     "check_int",
@@ -147,57 +137,6 @@ def coefficients(n_vertices: int) -> ScatteringCoefficients:
     return ScatteringCoefficients(t=t, r=1.0 - t)
 
 
-def n_edge_states(n_vertices: int) -> int:
-    n_vertices = check_int("n_vertices", n_vertices, 2)
-    return n_vertices * (n_vertices - 1)
-
-
-def edge_index(n_vertices: int, source: int, target: int) -> int:
-    """Canonical index of the directed edge state (source -> target)."""
-    n_vertices = check_int("n_vertices", n_vertices, 2)
-    source, target = check_int("source", source, 0), check_int("target", target, 0)
-    if source == target:
-        raise ValueError(f"no edge state ({source}, {target}): endpoints coincide")
-    if source >= n_vertices or target >= n_vertices:
-        raise ValueError(f"endpoints ({source}, {target}) out of range for N={n_vertices}")
-    return source * (n_vertices - 1) + (target if target < source else target - 1)
-
-
-def edge_endpoints(n_vertices: int, index):
-    """Inverse of edge_index: (source, target) of one index as ints, or of
-    an integer array as two arrays of its shape.  Refuses an index that is
-    not an integer, and one outside 0..N(N-1)-1, naming the smallest or
-    largest; an array's range is read by two reductions, so a batch of
-    draws is decoded without a mask."""
-    n_vertices, index = check_int("n_vertices", n_vertices, 2), np.asarray(index)
-    if not np.issubdtype(index.dtype, np.integer):
-        raise ValueError(f"edge indices must be integers, got {index.dtype}")
-    low, high = (index.min(), index.max()) if index.size else (0, 0)
-    if low < 0 or high >= n_edge_states(n_vertices):
-        raise ValueError(f"edge index {low if low < 0 else high} out of range for N={n_vertices}")
-    source, target = np.divmod(index.astype(np.intp, copy=False), n_vertices - 1)
-    target += target >= source
-    return (int(source), int(target)) if index.ndim == 0 else (source, target)
-
-
-def to_grid(state: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Packed vector of N(N-1) amplitudes in canonical order -> a fresh N x N
-    grid A[m, l] = amplitude(m -> l); a non-finite amplitude is refused."""
-    n = check_int("n_vertices", n_vertices, 2)
-    state, dim = np.asarray(state, dtype=np.complex128), n_edge_states(n)
-    if state.shape != (dim,):
-        raise ValueError(f"packed state has shape {state.shape}, expected ({dim},)")
-    _check_finite(state)
-    grid = np.zeros((n, n), dtype=np.complex128)
-    grid[~np.eye(n, dtype=bool)] = state
-    return grid
-
-
-def to_packed(grid: np.ndarray) -> np.ndarray:
-    """N x N grid (any memory layout) -> packed vector in canonical order."""
-    return grid[~np.eye(grid.shape[0], dtype=bool)]
-
-
 def check_grid(state: np.ndarray, n_vertices: int, check_finite: bool = True) -> np.ndarray:
     """`state` as a validated N x N complex grid, returned as given, not copied.
 
@@ -224,7 +163,7 @@ def _check_finite(state: np.ndarray) -> None:
 def initial_grid(n_vertices: int) -> np.ndarray:
     """Equal superposition of all N(N-1) directed edge states, as an N x N grid."""
     n_vertices = check_int("n_vertices", n_vertices, 3)
-    grid = np.full((n_vertices, n_vertices), 1.0 / np.sqrt(n_edge_states(n_vertices)),
+    grid = np.full((n_vertices, n_vertices), 1.0 / np.sqrt(n_vertices * (n_vertices - 1)),
                    dtype=np.complex128)
     np.fill_diagonal(grid, 0.0)
     return grid
@@ -336,30 +275,30 @@ def marked_probability(state: np.ndarray, config: WalkConfig) -> float:
 
 
 def dense_step_operator(config: WalkConfig) -> np.ndarray:
-    """Explicit N(N-1) x N(N-1) matrix of one walk step.
+    """Explicit N^2 x N^2 matrix of one walk step on the cells of `grid.ravel()`.
 
-    Assembled entry by entry from (t, r), with the marked phase applied as
-    diagonal factors on marked in-edges and marked out-edges.  Exists for
-    verification: unitarity of this matrix is the operational check on the
-    coefficient pair, and it must agree with the matrix-free apply_step.
-    Cost O(N^4); intended for small N.
+    In-edge (k, l) scatters at l to each out-edge (l, m), by -r back (m = k)
+    and t elsewhere; the marked phase is a diagonal sandwich on marked in-
+    and out-edges.  The diagonal cells hold no edge: their rows and columns
+    are zero.  Exists for verification: unitarity on the edge cells checks
+    the coefficient pair, and the matrix must agree with the matrix-free
+    apply_step.  Cost O(N^4); intended for small N.
     """
     n = config.n_vertices
     t, r = coefficients(n)
-    dim = n_edge_states(n)
-    op = np.zeros((dim, dim), dtype=np.complex128)
-    index = [[edge_index(n, a, b) if a != b else None for b in range(n)] for a in range(n)]
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            for m in range(n):
-                if m != l:
-                    op[index[l][m], index[k][l]] = -r if m == k else t
+    scatter = np.full((n, n), t, dtype=np.complex128)  # scatter[m, k]: (k, l) -> (l, m)
+    np.fill_diagonal(scatter, -r)
+    op = np.zeros((n, n, n, n), dtype=np.complex128)  # op[l, m, k, l']: (k, l') -> (l, m)
+    vertex = np.arange(n)
+    op[vertex, :, :, vertex] = scatter
+    op = op.reshape(n * n, n * n)
+    loops = vertex * (n + 1)  # the diagonal cells (m, m)
+    op[loops] = 0.0
+    op[:, loops] = 0.0
     if config.k_marked >= 2 and config.phase != 0.0:
         marked = config.marked
         phases = np.ones((n, n), dtype=np.complex128)
         phases[marked[:, None], marked] = cmath.exp(1j * config.phase)
-        diag = to_packed(phases)
+        diag = phases.ravel()
         op = diag[:, None] * op * diag[None, :]
     return op

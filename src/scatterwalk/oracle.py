@@ -18,10 +18,10 @@ Composite states are kept in the factored form that actually occurs in
 the circuit (a basis edge, two vertex labels or blanks, a 4-amplitude
 ancilla); the full tensor product only ever needs to be materialized in
 verification suites.  `oracle_step` steps an N x N grid only, and
-`conjugated_oracle` names its basis edge by its (source, target) pair, as
-`prepare_composite` does; no packed index is read here.  Sizes, vertices
-and queries are read by `core.check_int`, and the marked set by
-`core.check_marked`, as the walk's own configuration reads them.
+`conjugated_oracle` names its basis edge by its (source, target) pair,
+which `prepare_composite` checks.  Sizes, vertices and queries are read by
+`core.check_int`, and the marked set by `core.check_marked`, as the walk's
+own configuration reads them.
 """
 
 from __future__ import annotations
@@ -111,9 +111,17 @@ def kickback_ancilla() -> np.ndarray:
 
 
 def prepare_composite(n_vertices: int, edge: tuple[int, int]) -> CompositeState:
-    """Composite state for one basis edge, registers blank, ancilla ready."""
+    """Composite state for one basis edge, registers blank, ancilla ready.
+
+    `edge` is a (source, target) pair of distinct vertices in 0..N-1.
+    """
+    n = core.check_int("n_vertices", n_vertices, 2)
     source, target = edge
-    core.edge_index(n_vertices, source, target)  # validates the pair
+    source, target = core.check_int("source", source, 0), core.check_int("target", target, 0)
+    if source == target:
+        raise ValueError(f"no edge state ({source}, {target}): endpoints coincide")
+    if source >= n or target >= n:
+        raise ValueError(f"endpoints ({source}, {target}) out of range for N={n}")
     return CompositeState(edge=(source, target), vertex_a=BLANK, vertex_b=BLANK,
                           ancilla=kickback_ancilla())
 

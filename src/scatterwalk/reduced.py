@@ -32,9 +32,7 @@ the reduced engine's, from `component_series`.  `project` validates a grid.
 N, K and step counts are read by `core.check_int`, so N >= 4, K >= 2 and
 steps >= 0 are Python ints here; K <= N-2 and N(N-1) within the float
 range are checked on top.
-No function here takes or returns a packed vector; the class basis in the
-packed edge order is built only where it is checked against the dense step
-operator (`verify`).
+Every function here that reads a full state takes a grid.
 """
 
 from __future__ import annotations

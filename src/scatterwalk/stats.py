@@ -17,9 +17,11 @@ the state once per configuration and draws every measurement of it in
 one batch.  Both Monte Carlo engines hand their draws, as the runs that
 found a marked edge and both endpoints of each, to one count with no loop
 over runs, and the success rate is taken from those draws in one place.
-The walk steps an N x N grid; only the measured state is packed, as a
-measurement draws a canonical edge index (`sample_measurement`), and every
-drawn index, one or a batch, is decoded by `core.edge_endpoints`.
+The walk steps an N x N grid; only the measured state is packed.  The
+packed order is this module's own: a state's N(N-1) amplitudes are the
+grid's off-diagonal cells in row-major order, `grid[~eye]`, so edge (m, l)
+has index m*(N-1) + l - (l > m).  It is `sample_measurement`'s input, and
+every drawn index, one or a batch, is decoded by `_edges`.
 """
 
 from __future__ import annotations
@@ -62,20 +64,27 @@ def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
         raise ValueError(f"state of shape {state.shape} is not a packed vector of length N(N-1)")
     weights = np.abs(state) ** 2
     total = weights.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:  # a NaN total is refused too
         raise ValueError(f"state norm^2 = {total!r} is not 1 within 1e-8")
     return weights / total, n
+
+
+def _edges(n: int, index):
+    """(source, target) of packed edge indices, an int or an integer array."""
+    source, target = divmod(index, n - 1)
+    target += target >= source  # the diagonal cell (source, source) is skipped
+    return source, target
 
 
 def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     """Measure the walker's position: one directed edge, Born-rule weighted.
 
-    Deterministic for a fixed seed.  States off normalization by more than
-    1e-8 are rejected.
+    `state` is packed: the N(N-1) off-diagonal cells of the grid in
+    row-major order.  Deterministic for a fixed seed.  States off
+    normalization by more than 1e-8 are rejected.
     """
     weights, n = _born_probabilities(state)
-    index = np.random.default_rng(seed).choice(len(weights), p=weights)
-    return core.edge_endpoints(n, int(index))
+    return _edges(n, int(np.random.default_rng(seed).choice(len(weights), p=weights)))
 
 
 def _search_state(f: OracleFunction, n_opt: int, ledger: QueryLedger) -> np.ndarray:
@@ -84,7 +93,7 @@ def _search_state(f: OracleFunction, n_opt: int, ledger: QueryLedger) -> np.ndar
     grid = core.initial_grid(f.n_vertices)
     for _ in range(n_opt):
         grid = oracle.oracle_step(grid, f, ledger, out=grid)
-    return core.to_packed(grid)
+    return grid[~np.eye(f.n_vertices, dtype=bool)]
 
 
 def run_search(f: OracleFunction, seed=None, ledger: QueryLedger | None = None) -> RunOutcome:
@@ -168,9 +177,10 @@ def _simulate_coverage_full(
     edge = sample_measurement(state, rng)
     weights, n = _born_probabilities(state)
     index = np.empty(trials * runs, dtype=np.intp)
-    index[0] = core.edge_index(n, *edge)
+    source, target = edge
+    index[0] = source * (n - 1) + target - (target > source)
     index[1:] = rng.choice(len(weights), size=len(index) - 1, p=weights)
-    source, target = core.edge_endpoints(n, index)
+    source, target = _edges(n, index)
     del index
     found = (source < k_marked) & (target < k_marked)
     source = source[found]  # each decode is freed as its found part is taken

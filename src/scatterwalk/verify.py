@@ -10,6 +10,11 @@ tolerance and builds the suite's `CheckResult`.  A profile is a name in
 `PROFILES`: "default" uses the advertised tolerances, "strict" tightens
 every tolerance tenfold, extends the dense checks to N = 12 and doubles
 the random states of the norm check.
+
+The suites step N x N grids only: a random state is a normalised random
+grid with a zero diagonal, a basis state is the unit grid of one edge, and
+`core.dense_step_operator` acts on the cells of `grid.ravel()`, of which
+the N(N-1) off-diagonal ones hold the edges.
 """
 
 from __future__ import annotations
@@ -49,15 +54,23 @@ _PHASES = (0.0, np.pi / 2, np.pi)
 Case = tuple[float, float, str]  # (deviation, tolerance, detail naming the case)
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return state / np.linalg.norm(state)
+def _edge_cells(n: int) -> np.ndarray:
+    """Mask of the cells of `grid.ravel()` that hold an edge (m, l), m != l."""
+    return ~np.eye(n, dtype=bool).ravel()
 
 
-def _packed_step(step, state: np.ndarray, n: int, *args) -> np.ndarray:
-    """step(grid, *args) of a packed state, unpacked and packed again: the unitarity and
-    circuit suites compare packed columns with the dense operator's."""
-    return core.to_packed(step(core.to_grid(state, n), *args))
+def _random_grid(rng: np.random.Generator, n: int) -> np.ndarray:
+    grid = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    np.fill_diagonal(grid, 0.0)
+    return grid / np.linalg.norm(grid)
+
+
+def _unit_grids(n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(cell, unit grid) of every edge, the cell its index in `grid.ravel()`."""
+    for cell in np.flatnonzero(_edge_cells(n)):
+        unit = np.zeros(n * n, dtype=complex)
+        unit[cell] = 1.0
+        yield cell, unit.reshape(n, n)
 
 
 def _configs(n_values, k_values):
@@ -76,26 +89,23 @@ def _where(config: WalkConfig) -> str:
 def check_unitarity(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """Norm preservation of the matrix-free step, plus dense-operator checks.
 
-    The dense operator is assembled from the (t, r) pair entry by entry,
-    so a broken coefficient pair shows up here even though the matrix-free
-    kernel only ever touches t.
+    The dense operator is built from the (t, r) pair, so a broken
+    coefficient pair shows up here even though the matrix-free kernel only
+    ever touches t.  It is unitary on the edge cells: U^dag U is the
+    projector onto them.
     """
     rng = np.random.default_rng(_SEED)
     for config in _configs((3, 5, 10, 30), (0, 2, 3)):
-        n = config.n_vertices
         for _ in range(random_states):
-            state = _random_state(rng, core.n_edge_states(n))
-            err = abs(np.linalg.norm(_packed_step(core.apply_step, state, n, config)) - 1.0)
+            grid = _random_grid(rng, config.n_vertices)
+            err = abs(np.linalg.norm(core.apply_step(grid, config)) - 1.0)
             yield err, 1e-12, f"norm error {err:.3e} at {_where(config)}"
     for config in _configs((4, 6, dense_max_n), (0, 2, 3)):
-        dense = core.dense_step_operator(config)
-        err = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
+        dense, edges = core.dense_step_operator(config), _edge_cells(config.n_vertices)
+        err = np.abs(dense.conj().T @ dense - np.diag(edges)).max()
         yield err, 1e-12, f"dense U^dag U deviates by {err:.3e} at {_where(config)}"
-        applied = np.column_stack(
-            [_packed_step(core.apply_step, col, config.n_vertices, config)
-             for col in np.eye(dense.shape[0], dtype=complex).T]
-        )
-        err = np.abs(applied - dense).max()
+        err = np.max([np.abs(core.apply_step(unit, config).ravel() - dense[:, cell]).max()
+                      for cell, unit in _unit_grids(config.n_vertices)])  # max() could drop a NaN
         yield err, 1e-13, f"matrix-free/dense mismatch {err:.3e} at {_where(config)}"
 
 
@@ -110,9 +120,9 @@ def check_fixed_point(dense_max_n: int, random_states: int) -> Iterator[Case]:
 def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterator[Case]:
     """The 4x4 operator equals the class-basis projection of the dense step.
 
-    The dense step acts on the packed edge basis, so the class vectors
-    w1..w4 are packed too: one grid of class labels, packed, gives them as
-    the columns of an N(N-1) x 4 matrix.
+    The dense step acts on the cells of `grid.ravel()`, so one grid of
+    class labels, raveled, gives the class vectors w1..w4 as the columns of
+    an N^2 x 4 matrix; the diagonal cells belong to no class.
     """
     for n in range(4, dense_max_n + 1):
         for k in range(2, n - 1):
@@ -120,7 +130,8 @@ def check_projection_consistency(dense_max_n: int, random_states: int) -> Iterat
             label[:, :k] = 0  # into the marked set 0..k-1
             label[:k] = 1  # out of it
             label[:k, :k] = 3  # inside it
-            member = core.to_packed(label)[:, None] == np.arange(4)
+            np.fill_diagonal(label, -1)  # no edge (m, m)
+            member = label.ravel()[:, None] == np.arange(4)
             basis = member / np.sqrt(member.sum(axis=0))
             for phi in _PHASES:
                 config = WalkConfig(n_vertices=n, marked_set=frozenset(range(k)), phase=phi)
@@ -161,16 +172,11 @@ def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[
     for n in (6, dense_max_n):
         config = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
         f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
-        ledger = QueryLedger()
-        dim = core.n_edge_states(n)
-        basis = np.eye(dim, dtype=complex)
-        walk_op = np.column_stack(
-            [_packed_step(core.apply_step, col, n, config) for col in basis.T])
-        circuit_op = np.column_stack(
-            [_packed_step(oracle.oracle_step, col, n, f, ledger) for col in basis.T])
+        ledger, dim = QueryLedger(), n * (n - 1)
+        err = np.max([np.abs(core.apply_step(unit, config) - oracle.oracle_step(unit, f, ledger))
+                      .max() for _, unit in _unit_grids(n)])
         yield (abs(ledger.quantum_calls - 2 * dim), 0,
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
-        err = np.abs(walk_op - circuit_op).max()
         yield err, 1e-13, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
         for edge in ((2, 0), (0, 2), (2, 3), (0, 1)):  # classes w1..w4
             walk_phase = cmath.exp(1j * config.phase) if set(edge) <= config.marked_set else 1.0

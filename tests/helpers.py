@@ -8,6 +8,7 @@ tautology.
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import mpmath
@@ -18,8 +19,9 @@ def edge_index(n, source, target):
     return source * (n - 1) + (target if target < source else target - 1)
 
 
+@cache
 def edge_endpoint_arrays(n):
-    """(sources, targets) of every packed edge index, in index order."""
+    """(sources, targets) of every packed edge index, in index order; read-only."""
     sources = np.empty(n * (n - 1), dtype=np.intp)
     targets = np.empty(n * (n - 1), dtype=np.intp)
     for m in range(n):
@@ -27,7 +29,20 @@ def edge_endpoint_arrays(n):
             if m != l:
                 sources[edge_index(n, m, l)] = m
                 targets[edge_index(n, m, l)] = l
+    sources.setflags(write=False)
+    targets.setflags(write=False)
     return sources, targets
+
+
+def edge_block(dense, n):
+    """The edge cells' block of an N^2 x N^2 operator on the cells of
+    grid.ravel(), in packed order, after asserting that the rows and
+    columns of the diagonal cells (m, m), which hold no edge, are zero."""
+    loops = [m * n + m for m in range(n)]
+    assert not dense[loops].any() and not dense[:, loops].any(), "a diagonal cell is not zero"
+    sources, targets = edge_endpoint_arrays(n)
+    cells = sources * n + targets
+    return dense[np.ix_(cells, cells)]
 
 
 def marked_phase_vector(n, marked):
@@ -192,10 +207,8 @@ def relabel_state(state, n, perm):
 def grid_of(state, n):
     """Packed edge state -> N x N grid with grid[m, l] = amplitude(m -> l)."""
     grid = np.zeros((n, n), dtype=complex)
-    for m in range(n):
-        for l in range(n):
-            if m != l:
-                grid[m, l] = state[edge_index(n, m, l)]
+    sources, targets = edge_endpoint_arrays(n)
+    grid[sources, targets] = state
     return grid
 
 

@@ -20,6 +20,7 @@ from scatterwalk.core import ScatteringCoefficients, WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 
 from helpers import (
+    edge_block,
     grid_of,
     naive_class_basis,
     operator_of,
@@ -53,10 +54,10 @@ def test_criterion_1_unitarity_and_fixed_point():
                 continue
             for phase in (0.0, np.pi / 2, np.pi):
                 config = cfg(n, k, phase)
-                dim = core.n_edge_states(n)
+                dim = n * (n - 1)
                 states = rng.normal(size=(100, dim)) + 1j * rng.normal(size=(100, dim))
                 for state in states:
-                    out = core.apply_step(core.to_grid(state / np.linalg.norm(state), n), config)
+                    out = core.apply_step(grid_of(state / np.linalg.norm(state), n), config)
                     worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
     worst_fixed = 0.0
     for n in (3, 5, 10, 50, 200):
@@ -75,7 +76,8 @@ def test_criterion_2_reduction_exactness():
             for phase in (0.0, np.pi / 2, np.pi):
                 config = cfg(n, k, phase)
                 basis = naive_class_basis(n, range(k))
-                projected = basis.conj().T @ core.dense_step_operator(config) @ basis
+                dense = edge_block(core.dense_step_operator(config), n)
+                projected = basis.conj().T @ dense @ basis
                 err = np.abs(projected - reduced.reduced_operator(n, k, phase)).max()
                 worst_proj = max(worst_proj, err)
     config = cfg(30, 3, np.pi / 2)
@@ -95,7 +97,7 @@ def test_criterion_3_three_way_equivalence():
     config = cfg(n, k, np.pi / 2)
     f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
     ledger = QueryLedger()
-    dim = core.n_edge_states(n)
+    dim = n * (n - 1)
     walk_op = operator_of(lambda c: packed_of(core.apply_step(grid_of(c, n), config)), dim)
     circuit_op = operator_of(lambda c: packed_of(oracle.oracle_step(grid_of(c, n), f, ledger)),
                              dim)

@@ -19,7 +19,7 @@ import pytest
 
 import scatterwalk
 import scatterwalk as sw
-from scatterwalk import core, reduced
+from scatterwalk import core, coverage, oracle, reduced
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(scatterwalk.__path__))
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -122,13 +122,7 @@ INTEGER_INPUTS = {
     "WalkConfig-marked_set": ("marked vertex", 0, lambda v: sw.WalkConfig(10, {0, v}, 0.5), 3),
     "coefficients": ("n_vertices", 3, sw.coefficients, 10),
     "initial_grid": ("n_vertices", 3, sw.initial_grid, 10),
-    "n_edge_states": ("n_vertices", 2, core.n_edge_states, 100),  # int8: 100 * 99 overflows
     "check_grid": ("n_vertices", 2, lambda v: core.check_grid(sw.initial_grid(5), v), 5),
-    "to_grid": ("n_vertices", 2, lambda v: core.to_grid(np.arange(20), v), 5),
-    "edge_index-n_vertices": ("n_vertices", 2, lambda v: sw.edge_index(v, 1, 2), 10),
-    "edge_index-source": ("source", 0, lambda v: sw.edge_index(10, v, 2), 3),
-    "edge_index-target": ("target", 0, lambda v: sw.edge_index(10, 1, v), 3),
-    "edge_endpoints-n_vertices": ("n_vertices", 2, lambda v: sw.edge_endpoints(v, 5), 10),
     "evolve-steps": ("steps", 0, lambda v: sw.evolve(sw.initial_grid(10), CONFIG, v), 3),
     "reduced_operator-n_vertices": ("n_vertices", 4, lambda v: sw.reduced_operator(v, 3, 0.5), 10),
     "reduced_operator-k_marked": ("k_marked", 2, lambda v: sw.reduced_operator(10, v, 0.5), 3),
@@ -150,6 +144,9 @@ INTEGER_INPUTS = {
     "series_records-n_vertices": ("n_vertices", 4,
                                   lambda v: reduced.series_records(v, 3, 0.5, 5), 10),
     "series_records-steps": ("steps", 0, lambda v: reduced.series_records(10, 3, 0.5, v), 5),
+    "series_records-k_marked": ("k_marked", 2, lambda v: reduced.series_records(10, v, 0.5, 5), 3),
+    "step_records-steps": ("steps", 0,
+                           lambda v: reduced.step_records(core.apply_step, CONFIG, v), 3),
     "OracleFunction-n_vertices": ("n_vertices", 3,
                                   lambda v: sw.OracleFunction(v, frozenset({0, 1})), 10),
     "OracleFunction-marked_set": ("marked vertex", 0,
@@ -157,6 +154,13 @@ INTEGER_INPUTS = {
     "OracleFunction-call-k": ("k", 0, lambda v: ORACLE(v, 1), 3),
     "OracleFunction-call-l": ("l", 0, lambda v: ORACLE(1, v), 3),
     "conjugated_oracle-edge": ("source", 0, lambda v: sw.conjugated_oracle((v, 1), ORACLE), 3),
+    "conjugated_oracle-target": ("target", 0, lambda v: sw.conjugated_oracle((1, v), ORACLE), 3),
+    "prepare_composite-n_vertices": ("n_vertices", 2,
+                                     lambda v: oracle.prepare_composite(v, (1, 2)).edge, 10),
+    "prepare_composite-source": ("source", 0,
+                                 lambda v: oracle.prepare_composite(10, (v, 2)).edge, 3),
+    "prepare_composite-target": ("target", 0,
+                                 lambda v: oracle.prepare_composite(10, (1, v)).edge, 3),
     "classical_query_baseline-n_vertices": ("n_vertices", 2,
                                             lambda v: sw.classical_query_baseline(v, 3), 10),
     "classical_query_baseline-k_marked": ("k_marked", 2,
@@ -166,6 +170,8 @@ INTEGER_INPUTS = {
     "coverage_distribution-mc-reduced-n_vertices": ("n_vertices", 4, lambda v: mc("reduced", v), 10),
     "coverage_distribution-mc-full-n_vertices": ("n_vertices", 4, lambda v: mc("full", v), 10),
     "coverage_distribution-mc-trials": ("trials", 1, lambda v: mc("reduced", trials=v), 20),
+    "exact_coverage-k_marked": ("k_marked", 2, lambda v: coverage.exact_coverage(v, 2), 3),
+    "exact_coverage-runs": ("runs", 1, lambda v: coverage.exact_coverage(3, v), 2),
     "expected_runs_to_cover-k_marked": ("k_marked", 2, sw.expected_runs_to_cover, 3),
 }
 NON_INTEGERS = [2.5, 3.0, True, np.bool_(True), np.float64(3), "3"]

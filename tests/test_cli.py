@@ -223,7 +223,6 @@ class TestRunCommand:
             raise AssertionError("a full state was allocated")
 
         monkeypatch.setattr(core, "initial_grid", refuse)
-        monkeypatch.setattr(core, "to_grid", refuse)
         assert run_cli(*argv) == 2
         assert "physical memory" in capsys.readouterr().err
 
@@ -271,7 +270,6 @@ class TestRunCommand:
         monkeypatch.setattr(reduced, "component_series", refuse)
         monkeypatch.setattr(reduced, "step_records", refuse)
         monkeypatch.setattr(reduced, "series_records", refuse)
-        monkeypatch.setattr(core, "to_grid", refuse)
         monkeypatch.setattr(core, "initial_grid", refuse)
         monkeypatch.setattr(stats, "coverage_distribution", refuse)
         monkeypatch.setattr(stats, "_search_state", refuse)

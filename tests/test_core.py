@@ -1,4 +1,4 @@
-"""Full-state engine: indexing, scattering step, unitarity, phases."""
+"""Full-state engine: scattering step, unitarity, phases, the dense operator."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from scatterwalk.core import WalkConfig
 from scatterwalk.oracle import OracleFunction, QueryLedger
 
 from helpers import (
-    edge_endpoint_arrays,
+    edge_block,
+    edge_index,
     grid_of,
     marked_phase_vector,
     naive_dense_operator,
@@ -46,66 +47,10 @@ class TestCoefficients:
             core.coefficients(n)
 
 
-class TestIndexing:
-    @pytest.mark.parametrize("n", [3, 4, 7, 11])
-    def test_canonical_formula_and_bijection(self, n):
-        seen = set()
-        for m in range(n):
-            for l in range(n):
-                if m == l:
-                    continue
-                idx = core.edge_index(n, m, l)
-                assert idx == m * (n - 1) + (l if l < m else l - 1)
-                assert core.edge_endpoints(n, idx) == (m, l)
-                assert all(type(v) is int for v in core.edge_endpoints(n, np.intp(idx)))
-                seen.add(idx)
-        assert seen == set(range(core.n_edge_states(n)))
-        # an integer array decodes elementwise, in its own shape
-        dim = core.n_edge_states(n)
-        sources, targets = core.edge_endpoints(n, np.arange(dim).reshape(n, n - 1))
-        want_sources, want_targets = edge_endpoint_arrays(n)
-        np.testing.assert_array_equal(sources.ravel(), want_sources)
-        np.testing.assert_array_equal(targets.ravel(), want_targets)
-        # one entry out of range refuses the whole array, naming that entry alone
-        for bad in (dim, -1):
-            indices = np.arange(dim)
-            indices[dim // 2] = bad
-            with pytest.raises(ValueError, match=rf"^edge index {bad} out of range for N={n}$"):
-                core.edge_endpoints(n, indices)
-        for bad in (2.0, True, np.arange(dim, dtype=float)):
-            with pytest.raises(ValueError, match="must be integers"):
-                core.edge_endpoints(n, bad)
-
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(ValueError):
-            core.edge_index(5, 2, 2)
-        # float and bool endpoints are refused; numpy integers are endpoints
-        with pytest.raises(ValueError, match=r"^source must be an integer >= 0, got 1\.5$"):
-            core.edge_index(5, 1.5, 2)
-        with pytest.raises(ValueError, match="source must be an integer >= 0"):
-            oracle.prepare_composite(5, (1.5, 2))
-        for bad in ((True, 2), (2, False), (np.float64(1), 2), (1, np.bool_(True))):
-            with pytest.raises(ValueError, match="(source|target) must be an integer >= 0"):
-                core.edge_index(5, *bad)
-        assert core.edge_index(5, np.int64(1), np.uint8(2)) == core.edge_index(5, 1, 2) == 5
-        with pytest.raises(ValueError):
-            core.edge_index(5, 0, 5)
-        with pytest.raises(ValueError):
-            core.edge_endpoints(5, 20)
-
-    def test_endpoint_arrays_match_scalar_decode(self):
-        sources, targets = edge_endpoint_arrays(6)
-        for idx in range(30):
-            assert (sources[idx], targets[idx]) == core.edge_endpoints(6, idx)
-        # a narrow dtype decodes without wrapping: index 255 of N=300 has target 256
-        sources, targets = core.edge_endpoints(300, np.array([254, 255], dtype=np.uint8))
-        assert (sources.tolist(), targets.tolist()) == ([0, 0], [255, 256])
-
-
 class TestInitialState:
     @pytest.mark.parametrize("n, dim", [(3, 6), (10, 90)])
     def test_uniform_amplitudes(self, n, dim):
-        state = core.to_packed(core.initial_grid(n))
+        state = packed_of(core.initial_grid(n))
         assert state.shape == (dim,)
         np.testing.assert_allclose(state, 1 / np.sqrt(dim), atol=1e-15)
 
@@ -123,17 +68,17 @@ class TestInitialState:
         assert grid.flags.c_contiguous
         dim = n * (n - 1)
         uniform = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-        assert grid.tobytes() == core.to_grid(uniform, n).tobytes()
+        assert grid.tobytes() == grid_of(uniform, n).tobytes()
 
 
 class TestApplyStep:
     def test_pure_transmission_at_n3(self):
         # r = 0 at N=3, so the only move from edge (0 -> 1) is on to vertex 2
         state = np.zeros(6, complex)
-        state[core.edge_index(3, 0, 1)] = 1.0
+        state[edge_index(3, 0, 1)] = 1.0
         out = packed_step(state, config(3))
         expected = np.zeros(6, complex)
-        expected[core.edge_index(3, 1, 2)] = 1.0
+        expected[edge_index(3, 1, 2)] = 1.0
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [3, 5, 12, 40])
@@ -147,11 +92,11 @@ class TestApplyStep:
         # transmission to unmarked targets carries t e^{i phi}
         cfg = config(4, k=2, phase=np.pi / 2)
         state = np.zeros(12, complex)
-        state[core.edge_index(4, 0, 1)] = 1.0
+        state[edge_index(4, 0, 1)] = 1.0
         out = packed_step(state, cfg)
-        assert out[core.edge_index(4, 1, 0)] == pytest.approx(1 / 3, abs=1e-15)
-        assert out[core.edge_index(4, 1, 2)] == pytest.approx(2j / 3, abs=1e-15)
-        assert out[core.edge_index(4, 1, 3)] == pytest.approx(2j / 3, abs=1e-15)
+        assert out[edge_index(4, 1, 0)] == pytest.approx(1 / 3, abs=1e-15)
+        assert out[edge_index(4, 1, 2)] == pytest.approx(2j / 3, abs=1e-15)
+        assert out[edge_index(4, 1, 3)] == pytest.approx(2j / 3, abs=1e-15)
 
     def test_norm_preserved_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -186,7 +131,7 @@ class TestApplyStep:
         rng = np.random.default_rng(22)
         out = core.apply_step(grid_of(random_state(rng, 30), 6), cfg)
         assert abs(np.linalg.norm(out) - 1) < 1e-12
-        dense = core.dense_step_operator(cfg)
+        dense = edge_block(core.dense_step_operator(cfg), 6)
         assert np.abs(dense.conj().T @ dense - np.eye(30)).max() < 1e-12
 
     def test_dimension_mismatch_rejected(self):
@@ -277,7 +222,7 @@ class TestValidatedSteps:
         self, step, layout, bad, edge, target
     ):
         state = random_state(np.random.default_rng(3), 42)
-        state[core.edge_index(7, *edge)] = bad
+        state[edge_index(7, *edge)] = bad
         state = laid_out(state, layout)
         before = state.copy()
         kwargs = {"out": np.full((7, 7), 0.25 - 0.5j)}
@@ -314,11 +259,10 @@ class TestValidatedSteps:
         # two amplitudes near the float64 limit in one column: every amplitude
         # is finite, so the step runs unchecked arithmetic, inf and nan included
         state = random_state(np.random.default_rng(5), 42)
-        state[core.edge_index(7, 0, 4)] = state[core.edge_index(7, 5, 4)] = 1e308
+        state[edge_index(7, 0, 4)] = state[edge_index(7, 5, 4)] = 1e308
         state = laid_out(state, layout)
         if layout == "packed":
-            # converted at the caller's boundary; to_grid's finiteness check passes them
-            state = core.to_grid(state, 7)
+            state = grid_of(state, 7)  # converted at the caller's boundary
         with np.errstate(all="ignore"):
             expected = core.step_grid(state, np.arange(3), factor)
             got = VALIDATED_STEPS[step](state)
@@ -331,7 +275,7 @@ class TestDenseCrossCheck:
     @pytest.mark.parametrize("phase", [0.0, np.pi / 2, np.pi])
     def test_dense_vs_independent_and_matrix_free(self, n, k, phase):
         cfg = config(n, k, phase)
-        dense = core.dense_step_operator(cfg)
+        dense = edge_block(core.dense_step_operator(cfg), n)
         dim = dense.shape[0]
         assert np.abs(dense.conj().T @ dense - np.eye(dim)).max() < 1e-12
         naive = naive_dense_operator(n, range(k), phase)
@@ -344,24 +288,24 @@ class TestDenseCrossCheck:
         n, phase = 6, 0.7
         j, k = 1, 4
         cfg = WalkConfig(n_vertices=n, marked_set=frozenset({j, k}), phase=phase)
-        dense = core.dense_step_operator(cfg)
+        dense = edge_block(core.dense_step_operator(cfg), n)
         t, r = core.coefficients(n)
 
         col = np.zeros(n * (n - 1), complex)  # image of the marked in-edge (j -> k)
-        col[core.edge_index(n, k, j)] = -r * np.exp(2j * phase)
+        col[edge_index(n, k, j)] = -r * np.exp(2j * phase)
         for l in range(n):
             if l not in (j, k):
-                col[core.edge_index(n, k, l)] = t * np.exp(1j * phase)
-        np.testing.assert_allclose(dense[:, core.edge_index(n, j, k)], col, atol=1e-15)
+                col[edge_index(n, k, l)] = t * np.exp(1j * phase)
+        np.testing.assert_allclose(dense[:, edge_index(n, j, k)], col, atol=1e-15)
 
         m = 0  # image of an unmarked in-edge (m -> j) heading into the marked vertex
         col = np.zeros(n * (n - 1), complex)
-        col[core.edge_index(n, j, m)] = -r
-        col[core.edge_index(n, j, k)] = t * np.exp(1j * phase)
+        col[edge_index(n, j, m)] = -r
+        col[edge_index(n, j, k)] = t * np.exp(1j * phase)
         for l in range(n):
             if l not in (j, m, k):
-                col[core.edge_index(n, j, l)] = t
-        np.testing.assert_allclose(dense[:, core.edge_index(n, m, j)], col, atol=1e-15)
+                col[edge_index(n, j, l)] = t
+        np.testing.assert_allclose(dense[:, edge_index(n, m, j)], col, atol=1e-15)
 
 
 #: N = 300 is read in strips of 109 rows: 0-108, 109-217 and 218-299, each
@@ -480,14 +424,6 @@ class TestEvolve:
 
 
 class TestGridLayout:
-    def test_round_trip_is_exact(self):
-        state = random_state(np.random.default_rng(8), 42)
-        grid = core.to_grid(state, 7)
-        assert grid[2, 5] == state[core.edge_index(7, 2, 5)]
-        assert not grid.diagonal().any()
-        np.testing.assert_array_equal(core.to_packed(grid), state)
-        np.testing.assert_array_equal(core.to_packed(grid.T.copy().T), state)
-
     def test_step_returns_a_transposed_view(self):
         cfg = config(6, 2, np.pi / 2)
         grid = core.initial_grid(6)
@@ -499,11 +435,6 @@ class TestGridLayout:
     def test_rejects_wrong_shapes(self, shape):
         with pytest.raises(ValueError, match="shape"):
             core.apply_step(np.zeros(shape, complex), config(6))
-
-    @pytest.mark.parametrize("shape", [(7, 7), (41,), (43,), (42, 1)])
-    def test_to_grid_takes_a_packed_vector_only(self, shape):
-        with pytest.raises(ValueError, match=r"expected \(42,\)"):
-            core.to_grid(np.zeros(shape, complex), 7)
 
     def test_rejects_nonzero_diagonal(self):
         grid = core.initial_grid(5)

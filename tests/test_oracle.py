@@ -120,6 +120,22 @@ class TestKickback:
             uncopy_endpoints(state)
 
 
+class TestPrepareComposite:
+    def test_rejects_bad_pairs(self):
+        with pytest.raises(ValueError, match=r"^no edge state \(2, 2\): endpoints coincide$"):
+            prepare_composite(5, (2, 2))
+        # float and bool endpoints are refused; numpy integers are endpoints
+        with pytest.raises(ValueError, match=r"^source must be an integer >= 0, got 1\.5$"):
+            prepare_composite(5, (1.5, 2))
+        for bad in ((True, 2), (2, False), (np.float64(1), 2), (1, np.bool_(True))):
+            with pytest.raises(ValueError, match="(source|target) must be an integer >= 0"):
+                prepare_composite(5, bad)
+        edge = prepare_composite(5, (np.int64(1), np.uint8(2))).edge
+        assert edge == (1, 2) and all(type(v) is int for v in edge)
+        with pytest.raises(ValueError, match=r"^endpoints \(0, 5\) out of range for N=5$"):
+            prepare_composite(5, (0, 5))
+
+
 class TestConjugatedOracle:
     def test_phases_are_exact(self):
         f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 3}))
@@ -148,7 +164,7 @@ BLANK = -1  # full-tensor tests encode the blank register as label N
 
 
 def _composite_dims(n):
-    return core.n_edge_states(n), n + 1, n + 1, 4
+    return n * (n - 1), n + 1, n + 1, 4
 
 
 def _tensor_permutation(n, rule):
@@ -174,9 +190,10 @@ class TestFullTensorProduct:
     def _operators(self, f):
         n = self.N
         blank = n  # register value N encodes "empty"
+        sources, targets = edge_endpoint_arrays(n)
 
         def copy_rule(e, a, b, m):
-            k, l = core.edge_endpoints(n, e)
+            k, l = sources[e], targets[e]
             if (a, b) == (blank, blank):
                 return e, k, l, m
             if (a, b) == (k, l):
@@ -202,7 +219,7 @@ class TestFullTensorProduct:
         copy_perm, oracle_perm = self._operators(f)
 
         rng = np.random.default_rng(99)
-        edge_vec = random_state(rng, core.n_edge_states(n))
+        edge_vec = random_state(rng, n * (n - 1))
         psi = self._lift(edge_vec, kickback_ancilla())
 
         out = np.empty_like(psi)
@@ -229,7 +246,7 @@ class TestOracleStep:
         rng = np.random.default_rng(n)
         ledger = QueryLedger()
         for _ in range(5):
-            state = grid_of(random_state(rng, core.n_edge_states(n)), n)
+            state = grid_of(random_state(rng, n * (n - 1)), n)
             got = oracle_step(state, f, ledger)
             want = core.apply_step(state, cfg)
             assert np.abs(got - want).max() < 1e-13
@@ -239,7 +256,7 @@ class TestOracleStep:
         cfg = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
         f = OracleFunction(n_vertices=n, marked_set=cfg.marked_set)
         ledger = QueryLedger()
-        dim = core.n_edge_states(n)
+        dim = n * (n - 1)
         circuit = operator_of(lambda c: packed_of(oracle_step(grid_of(c, n), f, ledger)), dim)
         walk = operator_of(lambda c: packed_of(core.apply_step(grid_of(c, n), cfg)), dim)
         assert np.abs(circuit - walk).max() < 1e-13

@@ -48,8 +48,8 @@ def test_apply_step_matches_naive_operator_on_both_layouts(walk):
     config, state, steps = walk
     n = config.n_vertices
     dense = naive_dense_operator(n, config.marked_set, config.phase)
-    expected, grid = state, core.to_grid(state, n)
-    buffer = in_place = core.to_grid(state, n)
+    expected, grid = state, grid_of(state, n)
+    buffer = in_place = grid_of(state, n)
     for _ in range(steps):
         expected = dense @ expected
         grid = core.apply_step(grid, config)
@@ -65,7 +65,7 @@ def test_apply_step_matches_naive_operator_on_both_layouts(walk):
 def test_inputs_are_never_mutated(walk):
     config, state, steps = walk
     f = OracleFunction(config.n_vertices, config.marked_set)
-    grid = core.to_grid(state, config.n_vertices)
+    grid = grid_of(state, config.n_vertices)
     for _ in range(steps):
         before = grid.copy()
         core.apply_step(grid, config)
@@ -82,8 +82,8 @@ def test_oracle_step_agrees_with_walk_step_on_both_layouts(walk):
     n = config.n_vertices
     f = OracleFunction(n, config.marked_set)
     ledger = QueryLedger()
-    walked, grid = core.to_grid(state, n), core.to_grid(state, n)
-    buffer = in_place = core.to_grid(state, n)
+    walked, grid = grid_of(state, n), grid_of(state, n)
+    buffer = in_place = grid_of(state, n)
     for _ in range(steps):
         walked = core.apply_step(walked, config)
         grid = oracle.oracle_step(grid, f, ledger)
@@ -100,7 +100,7 @@ def test_grid_projection_matches_the_naive_basis(walk):
     config, state, steps = walk
     n = config.n_vertices
     basis = naive_class_basis(n, config.marked_set)
-    grid = core.to_grid(state, n)
+    grid = grid_of(state, n)
     for _ in range(steps):
         grid = core.apply_step(grid, config)
         state = packed_of(grid)
@@ -132,10 +132,10 @@ def test_random_steps_preserve_norms_and_inner_products(walk, seed):
     n = config.n_vertices
     other = random_state(np.random.default_rng(seed), n * (n - 1))
     overlap = np.vdot(state, other)
-    grid = (core.to_grid(state, n), core.to_grid(other, n))
+    grid = (grid_of(state, n), grid_of(other, n))
     for _ in range(steps):
         grid = tuple(core.apply_step(g, config) for g in grid)
-        a, b = (core.to_packed(g) for g in grid)
+        a, b = (packed_of(g) for g in grid)
         assert abs(np.linalg.norm(a) - 1.0) < 1e-13
         assert abs(np.linalg.norm(b) - 1.0) < 1e-13
         assert abs(np.vdot(a, b) - overlap) < 1e-13
@@ -149,11 +149,11 @@ def test_relabelling_vertices_commutes_with_the_step(walk, random):
     perm = list(range(n))
     random.shuffle(perm)
     relabelled = WalkConfig(n, frozenset(perm[v] for v in config.marked_set), config.phase)
-    moved = core.to_grid(relabel_state(state, n, perm), n)
+    moved = grid_of(relabel_state(state, n, perm), n)
     for _ in range(steps):
         state = packed_of(core.apply_step(grid_of(state, n), config))
         moved = core.apply_step(moved, relabelled)
-        assert np.abs(core.to_packed(moved) - relabel_state(state, n, perm)).max() < 1e-13
+        assert np.abs(packed_of(moved) - relabel_state(state, n, perm)).max() < 1e-13
 
 
 #: sizes read in two or more strips of `core.strip_rows(N)` rows

@@ -25,11 +25,13 @@ from scatterwalk.reduced import (
 
 from helpers import (
     edge_endpoint_arrays,
+    edge_index,
     grid_of,
     mp_search_components,
     naive_class_basis,
     naive_dense_operator,
     naive_grid_step,
+    packed_of,
     random_state,
     scan_optimal_steps,
 )
@@ -147,7 +149,7 @@ class TestReducedInitialState:
     @pytest.mark.parametrize("n, k", [(5, 2), (12, 4), (30, 3)])
     def test_embeds_to_uniform_state(self, n, k):
         state = naive_class_basis(n, range(k)) @ reduced_initial_state(n, k)
-        assert np.abs(state - core.to_packed(core.initial_grid(n))).max() < 1e-13
+        assert np.abs(state - packed_of(core.initial_grid(n))).max() < 1e-13
 
 
 class TestProjectEmbed:
@@ -166,7 +168,7 @@ class TestProjectEmbed:
 
     def test_single_edge_state_leaves_residual(self):
         state = np.zeros(30, complex)
-        state[core.edge_index(6, 2, 3)] = 1.0  # both endpoints unmarked
+        state[edge_index(6, 2, 3)] = 1.0  # both endpoints unmarked
         _, residual = project(grid_of(state, 6), config(6, 2))
         assert residual > 0.5
 

@@ -64,24 +64,34 @@ def coverage_by_run_search(n, k, runs, trials, seed):
 class TestSampleMeasurement:
     def test_point_mass(self):
         state = np.zeros(30, complex)
-        state[core.edge_index(6, 1, 2)] = 1.0
+        state[edge_index(6, 1, 2)] = 1.0
         for seed in range(5):
             assert sample_measurement(state, seed) == (1, 2)
 
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_every_edge_is_decoded_from_its_packed_index(self, n):
+        for m in range(n):
+            for l in range(n):
+                if m != l:
+                    state = np.zeros(n * (n - 1), complex)
+                    state[edge_index(n, m, l)] = 1.0
+                    edge = sample_measurement(state, 0)
+                    assert edge == (m, l) and all(type(v) is int for v in edge)
+
     def test_seed_determinism(self):
-        state = core.to_packed(core.initial_grid(8))
+        state = packed_of(core.initial_grid(8))
         draws_a = [sample_measurement(state, 123) for _ in range(10)]
         draws_b = [sample_measurement(state, 123) for _ in range(10)]
         assert draws_a == draws_b
 
     def test_uniform_distribution_chi_squared(self):
         n, samples = 6, 30_000
-        state = core.to_packed(core.initial_grid(n))
+        state = packed_of(core.initial_grid(n))
         rng = np.random.default_rng(2024)
-        counts = np.zeros(core.n_edge_states(n))
+        counts = np.zeros(n * (n - 1))
         for _ in range(samples):
             m, l = sample_measurement(state, rng)
-            counts[core.edge_index(n, m, l)] += 1
+            counts[edge_index(n, m, l)] += 1
         result = scipy.stats.chisquare(counts)
         assert result.pvalue > 1e-4
 
@@ -99,6 +109,12 @@ class TestSampleMeasurement:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="norm"):
             sample_measurement(np.ones(30, complex), seed=0)
+
+    @pytest.mark.parametrize("length", [2, 30])
+    def test_a_nan_state_is_refused_by_the_norm_check(self, length):
+        # a NaN norm passed `abs(total - 1) > 1e-8` and reached numpy's own refusal
+        with pytest.raises(ValueError, match=r"^state norm\^2 = .*nan.* is not 1 within 1e-8$"):
+            sample_measurement(np.full(length, np.nan), seed=0)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="length"):
