@@ -18,7 +18,9 @@ Component order is always (w1, w2, w3, w4); the basis requires
 `reduced_operator` returns that unitary as a read-only (4, 4) complex
 array, and the spectral functions (`spectral_decompose`, which returns
 an (eigenvalues, eigenvectors) pair, `evolve_reduced` and
-`component_series`) take any such array.
+`component_series`) take any such array.  `evolve_reduced` and
+`component_series` are one evaluation: the state after n steps is the
+same float from either, whatever the series' horizon.
 
 `observe` reads one full-state grid into what a step record shows: the
 class amplitudes, the norm of the component outside the subspace, the
@@ -255,13 +257,16 @@ def spectral_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spectral_states(op: np.ndarray, state: np.ndarray, steps) -> np.ndarray:
     """Reduced state after `steps`, an int or an array of step counts, each eigenvalue's power
     taken as a phase exp(i n theta): a power lambda ** n would carry the rounding-level
-    modulus error of lambda as |lambda| ** n."""
+    modulus error of lambda as |lambda| ** n.  The last product sums its four terms in
+    one order for one state and for a series, so the state after n steps is one float
+    whatever else is evaluated with it: `@` would take a vector kernel for one state and
+    a matrix kernel for a series, which round differently."""
     state = _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
     powers = np.multiply.outer(np.asarray(steps, dtype=np.float64), np.angle(eigenvalues)) * 1j
     np.exp(powers, out=powers)
     powers *= vecs.conj().T @ state
-    return powers @ vecs.T
+    return np.einsum("...j,ij->...i", powers, vecs)
 
 
 def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
@@ -274,8 +279,9 @@ def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
 
 
 def component_series(op: np.ndarray, state: np.ndarray, horizon: int) -> np.ndarray:
-    """Reduced state for every n = 0..horizon, shape (horizon+1, 4), through
-    the same spectral phases as `evolve_reduced`, and validated as it is."""
+    """Reduced state for every n = 0..horizon, shape (horizon+1, 4), validated as
+    `evolve_reduced` validates: row n is `evolve_reduced(state, op, n)` bit for bit,
+    for every horizon >= n."""
     return _spectral_states(op, state, np.arange(core.check_int("horizon", horizon, 0) + 1))
 
 

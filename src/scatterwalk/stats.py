@@ -56,12 +56,14 @@ class RunOutcome:
 
 
 def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, int]:
-    """(normalised |psi|^2, N) of a packed state of length N(N-1); states off
-    normalization by more than 1e-8 are rejected."""
+    """(normalised |psi|^2, N) of a packed state of length N(N-1); N < 3 is
+    refused as `WalkConfig` refuses it, and so are states off normalization
+    by more than 1e-8."""
     state = np.asarray(state, dtype=np.complex128)
     n = (1 + isqrt(1 + 4 * state.size)) // 2
     if state.ndim != 1 or n * (n - 1) != state.size:
         raise ValueError(f"state of shape {state.shape} is not a packed vector of length N(N-1)")
+    core.check_int("n_vertices", n, 3)  # no walk exists on fewer than 3 vertices
     weights = np.abs(state) ** 2
     total = weights.sum()
     if not abs(total - 1.0) <= 1e-8:  # a NaN total is refused too
@@ -80,8 +82,8 @@ def sample_measurement(state: np.ndarray, seed=None) -> tuple[int, int]:
     """Measure the walker's position: one directed edge, Born-rule weighted.
 
     `state` is packed: the N(N-1) off-diagonal cells of the grid in
-    row-major order.  Deterministic for a fixed seed.  States off
-    normalization by more than 1e-8 are rejected.
+    row-major order.  Deterministic for a fixed seed.  States of N < 3
+    and states off normalization by more than 1e-8 are rejected.
     """
     weights, n = _born_probabilities(state)
     return _edges(n, int(np.random.default_rng(seed).choice(len(weights), p=weights)))

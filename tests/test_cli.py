@@ -89,6 +89,18 @@ class TestRunCommand:
         assert run_cli(*args, "--out", str(out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("spec, steps", [
+        (("--n", "150554", "--k", "26"), "5"),
+        (("--n", "1739", "--k", "5", "--phase", "2.1"), "3"),
+    ], ids=["n150554-k26", "n1739-k5-phase2.1"])
+    def test_reduced_row_0_does_not_depend_on_steps(self, spec, steps, capsys):
+        # --steps 0 prints a one-row series, the other count a longer one
+        rows = []
+        for count in ("0", steps):
+            assert run_cli("run", "--engine", "reduced", *spec, "--steps", count) == 0
+            rows.append(capsys.readouterr().out.splitlines()[1])
+        assert rows[0] == rows[1]
+
     def test_full_and_reduced_engines_agree(self, tmp_path):
         outputs = {}
         for engine in ("full", "reduced"):

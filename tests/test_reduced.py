@@ -320,28 +320,23 @@ class TestComponentSeries:
         total = ((weights[:, 0] + weights[:, 1]) + weights[:, 2]) + weights[:, 3]
         assert np.abs(total ** 0.5 - 1.0).max() <= 1e-14
 
-    def test_evolve_reduced_is_a_row_of_the_series_to_rounding(self):
-        # both evaluate the same phases times the same coefficients; numpy's
-        # last 4-term product is a gemv for one state and a gemm for the
-        # series, whose rows round differently (1.12 eps at worst over 12,000
-        # random draws), so the two agree to rounding, not bit for bit.
-        # evolve_reduced itself is bit for bit the one-state formula, which
-        # the benchmark's probes read
-        eps = np.finfo(float).eps
+    def test_evolve_reduced_is_a_row_of_every_series_bit_for_bit(self):
+        # one state, a one-row series and a long one share one summation
+        # order, so row m does not depend on the horizon
         rng = np.random.default_rng(27)
         for trial in range(300):
             n = int(10 ** rng.uniform(math.log10(6), 12))
             k = int(rng.integers(2, min(n - 2, 40) + 1))
             phase = (0.7, np.pi / 2, 2.1)[trial % 3]
             op, state = reduced_operator(n, k, phase), reduced_initial_state(n, k)
-            eigenvalues, vecs = spectral_decompose(op)
-            horizon = int(rng.integers(0, 300))
+            horizon = int(rng.integers(0, 3001))
             series = reduced.component_series(op, state, horizon)
-            for step in rng.integers(0, horizon + 1, size=3).tolist():
+            records = reduced.series_records(n, k, phase, horizon)[0]
+            for step in {0, horizon, *rng.integers(0, horizon + 1, size=3).tolist()}:
                 evolved = evolve_reduced(state, op, step)
-                assert np.abs(evolved - series[step]).max() <= 4 * eps
-                phases = np.exp(1j * (step * np.angle(eigenvalues)))
-                assert np.array_equal(evolved, vecs @ (phases * (vecs.conj().T @ state)))
+                for row in (series[step], records[step],
+                            reduced.component_series(op, state, step)[step]):
+                    assert np.array_equal(evolved, row)
 
     @pytest.mark.parametrize("horizon", [2.5, -1, True, float("nan"), float("inf")])
     def test_refuses_the_step_counts_evolve_reduced_refuses(self, horizon):

@@ -110,11 +110,17 @@ class TestSampleMeasurement:
         with pytest.raises(ValueError, match="norm"):
             sample_measurement(np.ones(30, complex), seed=0)
 
-    @pytest.mark.parametrize("length", [2, 30])
+    @pytest.mark.parametrize("length", [6, 30])
     def test_a_nan_state_is_refused_by_the_norm_check(self, length):
         # a NaN norm passed `abs(total - 1) > 1e-8` and reached numpy's own refusal
         with pytest.raises(ValueError, match=r"^state norm\^2 = .*nan.* is not 1 within 1e-8$"):
             sample_measurement(np.full(length, np.nan), seed=0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_refuses_a_packed_state_of_fewer_than_3_vertices(self, n):
+        # N(N-1) = 0 and 2 are packed lengths, but no walk exists on N < 3
+        with pytest.raises(ValueError, match=f"^n_vertices must be an integer >= 3, got {n}$"):
+            sample_measurement(np.eye(1, n * (n - 1)).ravel(), seed=0)
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError, match="length"):
