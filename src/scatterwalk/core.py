@@ -21,8 +21,9 @@ cannot overflow N(N-1)) and refuses a bool, a float or any other
 non-integer, and a value below the bound, with one `ValueError` naming the
 parameter (`check_grid` too, at N >= 2).  A marked set is read once, by
 `check_marked`, into a frozenset and the sorted, read-only vertex array
-`marked` that every marked block and class index derives from.  A phase is
-read by `check_phase` into a finite Python float.
+`marked` that every marked block and class index derives from, once for a
+walk and its oracle: `oracle.OracleFunction` is the search's `WalkConfig`.
+A phase is read by `check_phase` into a finite Python float.
 
 The step is matrix-free and O(N^2).  With colsum[l] = sum_k A[k, l] the
 unmarked step is out[l, m] = t * colsum[l] - A[m, l], folding the

@@ -20,14 +20,15 @@ ancilla); the full tensor product only ever needs to be materialized in
 verification suites.  `oracle_step` steps an N x N grid only, and
 `conjugated_oracle` names its basis edge by its (source, target) pair,
 which `prepare_composite` checks.  Sizes, vertices and queries are read by
-`core.check_int`, and the marked set by `core.check_marked`, as the walk's
-own configuration reads them.
+`core.check_int`.  An `OracleFunction` is the `core.WalkConfig` of the
+phase-pi/2 walk it drives, so the marked set is read once, by
+`core.check_marked`, for the walk and its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import comb
+from math import comb, pi
 
 import numpy as np
 
@@ -51,23 +52,16 @@ BLANK = None  # empty vertex register, distinct from every vertex label
 
 
 @dataclass(frozen=True)
-class OracleFunction:
-    """Boolean pair-membership oracle over vertices 0..N-1.
+class OracleFunction(core.WalkConfig):
+    """Boolean pair-membership oracle over vertices 0..N-1, and the walk it drives.
 
     f(k, l) = 1 iff both k and l are marked; symmetric, and defined on the
-    diagonal by the same rule even though walk paths never query it.
-    `marked` is the sorted array of the marked set.
+    diagonal by the same rule even though walk paths never query it.  As a
+    `core.WalkConfig` it is the search walk: its phase is pi/2, the marked-edge
+    shift its kickback applies, and N and the marked set are read as the walk's.
     """
 
-    n_vertices: int
-    marked_set: frozenset[int] = field(default_factory=frozenset)
-    marked: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        n = core.check_int("n_vertices", self.n_vertices, 3)
-        object.__setattr__(self, "n_vertices", n)
-        for name, value in zip(("marked_set", "marked"), core.check_marked(n, self.marked_set)):
-            object.__setattr__(self, name, value)
+    phase: float = field(default=pi / 2, init=False, repr=False)
 
     def __call__(self, k: int, l: int) -> int:
         k, l = core.check_int("k", k, 0), core.check_int("l", l, 0)
@@ -189,7 +183,7 @@ def oracle_step(
     built from it.
     """
     grid, marked = core.check_grid(state, f.n_vertices, check_finite=False), f.marked
-    kickback = 1j ** f(marked[0], marked[1]) if len(marked) >= 2 else 1.0
+    kickback = 1j ** f(marked[0], marked[1]) if f.k_marked >= 2 else 1.0
     result = core.step_grid(grid, marked, kickback, out=out, reader=reader)
     ledger.quantum_calls += 2
     return result

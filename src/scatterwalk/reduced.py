@@ -198,9 +198,9 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
 
 def step_records(step, walk, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(c1..c4, residual, p_marked, norm) columns of rows 0..steps of the uniform grid of
-    `walk`, a `WalkConfig` or `OracleFunction`, stepped in place by `step(grid, walk,
-    out=grid, reader=read_strips)`: row i is read by step i + 1, the last by `observe`."""
-    _check_range(walk.n_vertices, len(walk.marked))
+    `walk`, a `WalkConfig` (an `OracleFunction` is one), stepped in place by `step(grid,
+    walk, out=grid, reader=read_strips)`: row i is read by step i + 1, the last by `observe`."""
+    _check_range(walk.n_vertices, walk.k_marked)
     steps = core.check_int("steps", steps, 0)
     grid = core.initial_grid(walk.n_vertices)
     comps = np.empty((steps + 1, 4), dtype=np.complex128)
@@ -257,16 +257,18 @@ def spectral_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spectral_states(op: np.ndarray, state: np.ndarray, steps) -> np.ndarray:
     """Reduced state after `steps`, an int or an array of step counts, each eigenvalue's power
     taken as a phase exp(i n theta): a power lambda ** n would carry the rounding-level
-    modulus error of lambda as |lambda| ** n.  The last product sums its four terms in
-    one order for one state and for a series, so the state after n steps is one float
-    whatever else is evaluated with it: `@` would take a vector kernel for one state and
-    a matrix kernel for a series, which round differently."""
+    modulus error of lambda as |lambda| ** n.  The last product sums its four terms in one
+    order for one state and for a series, so the state after n steps is one float whatever
+    else is evaluated with it (`@` would round a vector and a matrix kernel differently).
+    After 0 steps it is `state` itself, not V(V^H state), whose small components lose digits."""
     state = _reduced_state(state)
     eigenvalues, vecs = spectral_decompose(op)
     powers = np.multiply.outer(np.asarray(steps, dtype=np.float64), np.angle(eigenvalues)) * 1j
     np.exp(powers, out=powers)
     powers *= vecs.conj().T @ state
-    return np.einsum("...j,ij->...i", powers, vecs)
+    states = np.einsum("...j,ij->...i", powers, vecs)
+    states[np.asarray(steps) == 0] = state
+    return states
 
 
 def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:

@@ -105,7 +105,7 @@ def run_search(f: OracleFunction, seed=None, ledger: QueryLedger | None = None) 
     Requires 2 <= K <= N-2 (the regime where the optimal step count is
     defined).  Every step costs two oracle calls.
     """
-    n_opt = reduced.optimal_steps(f.n_vertices, len(f.marked))
+    n_opt = reduced.optimal_steps(f.n_vertices, f.k_marked)
     ledger = QueryLedger() if ledger is None else ledger
     calls_before = ledger.quantum_calls
     edge = sample_measurement(_search_state(f, n_opt, ledger), seed)

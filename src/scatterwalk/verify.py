@@ -170,16 +170,15 @@ def check_circuit_isomorphism(dense_max_n: int, random_states: int) -> Iterator[
     per class must disentangle and leave the walk step's per-edge phase.
     """
     for n in (6, dense_max_n):
-        config = WalkConfig(n_vertices=n, marked_set=frozenset({0, 1}), phase=np.pi / 2)
-        f = OracleFunction(n_vertices=n, marked_set=config.marked_set)
+        f = OracleFunction(n_vertices=n, marked_set=frozenset({0, 1}))  # the walk at phase pi/2
         ledger, dim = QueryLedger(), n * (n - 1)
-        err = np.max([np.abs(core.apply_step(unit, config) - oracle.oracle_step(unit, f, ledger))
+        err = np.max([np.abs(core.apply_step(unit, f) - oracle.oracle_step(unit, f, ledger))
                       .max() for _, unit in _unit_grids(n)])
         yield (abs(ledger.quantum_calls - 2 * dim), 0,
                f"ledger counted {ledger.quantum_calls} calls for {dim} steps at N={n}")
         yield err, 1e-13, f"operator mismatch {err:.3e} at N={n}, K=2, phi=pi/2"
         for edge in ((2, 0), (0, 2), (2, 3), (0, 1)):  # classes w1..w4
-            walk_phase = cmath.exp(1j * config.phase) if set(edge) <= config.marked_set else 1.0
+            walk_phase = cmath.exp(1j * f.phase) if set(edge) <= f.marked_set else 1.0
             try:
                 phase = oracle.conjugated_oracle(edge, f)
             except AssertionError as exc:  # the gates did not disentangle

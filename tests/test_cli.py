@@ -101,6 +101,13 @@ class TestRunCommand:
             rows.append(capsys.readouterr().out.splitlines()[1])
         assert rows[0] == rows[1]
 
+    def test_reduced_row_0_is_the_uniform_start(self, capsys):
+        # 1/6, 1/3, 1/3, 1/6, 1/6 at N = 4, K = 2, and no norm error
+        assert run_cli("run", "--engine", "reduced", "--n", "4", "--k", "2", "--steps", "0") == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "0,0.16666666666666666,0.33333333333333331,0.33333333333333331,"
+            "0.16666666666666666,0.16666666666666666,0,0")
+
     def test_full_and_reduced_engines_agree(self, tmp_path):
         outputs = {}
         for engine in ("full", "reduced"):

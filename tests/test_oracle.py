@@ -77,6 +77,14 @@ class TestOracleFunction:
         with pytest.raises(ValueError, match=r"^l must be an integer >= 0, got True$"):
             f(1, True)
 
+    def test_is_the_walk_config_of_the_search_phase(self):
+        f = OracleFunction(10, frozenset({0, 1}))
+        assert isinstance(f, WalkConfig) and f.phase == np.pi / 2 and f.k_marked == 2
+        assert "phase" not in {field.name for field in dataclasses.fields(f) if field.init}
+        assert repr(f) == "OracleFunction(n_vertices=10, marked_set=frozenset({0, 1}))"
+        with pytest.raises(TypeError):
+            OracleFunction(10, frozenset({0, 1}), np.pi / 2)
+
 
 class TestKickback:
     def test_ready_ancilla_is_exact(self):
@@ -260,6 +268,17 @@ class TestOracleStep:
         circuit = operator_of(lambda c: packed_of(oracle_step(grid_of(c, n), f, ledger)), dim)
         walk = operator_of(lambda c: packed_of(core.apply_step(grid_of(c, n), cfg)), dim)
         assert np.abs(circuit - walk).max() < 1e-13
+
+    def test_apply_step_of_the_oracle_is_its_oracle_step(self):
+        # the oracle is accepted as the walk it implements, on every unit grid
+        n = 6
+        f, ledger = OracleFunction(n, frozenset({0, 1})), QueryLedger()
+        for source, target in zip(*edge_endpoint_arrays(n)):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[source, target] = 1.0
+            err = np.abs(core.apply_step(unit, f) - oracle_step(unit, f, ledger)).max()
+            assert err <= 1e-13
+        assert ledger.quantum_calls == 2 * n * (n - 1)
 
     def test_ledger_counts_two_calls_per_step(self):
         f = OracleFunction(n_vertices=6, marked_set=frozenset({0, 1}))

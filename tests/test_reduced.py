@@ -338,6 +338,16 @@ class TestComponentSeries:
                             reduced.component_series(op, state, step)[step]):
                     assert np.array_equal(evolved, row)
 
+    @pytest.mark.parametrize("horizon", [0, 5])
+    @pytest.mark.parametrize("phase", [np.pi / 2, 2.1], ids=["half-pi", "2.1"])
+    @pytest.mark.parametrize("n", [4, 150554, 10**12])
+    def test_row_0_is_the_start_state_bit_for_bit(self, n, phase, horizon):
+        # not its eigenvector round trip, which loses the small components' digits
+        op, state = reduced_operator(n, 2, phase), reduced_initial_state(n, 2)
+        for row in (evolve_reduced(state, op, 0), reduced.component_series(op, state, horizon)[0],
+                    reduced.series_records(n, 2, phase, horizon)[0][0]):
+            assert np.array_equal(row, state)
+
     @pytest.mark.parametrize("horizon", [2.5, -1, True, float("nan"), float("inf")])
     def test_refuses_the_step_counts_evolve_reduced_refuses(self, horizon):
         op, state = reduced_operator(6, 2, np.pi / 2), reduced_initial_state(6, 2)
