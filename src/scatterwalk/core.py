@@ -39,10 +39,10 @@ in any memory order.  Every step reads finiteness from colsum: a
 non-finite amplitude makes its column sum non-finite, and only then is
 the grid checked entry by entry, before anything is written.
 
-A step can also be observed in the pass that makes it: it then reads the
-grid in strips of `strip_rows(N)` memory rows and hands each one, just
-before it is written over, to a reader (`reduced.read_strips`), with the
-column sums it has taken.
+Every step, and every record of a grid, walks the grid's memory rows in
+the strips of `strips`, decided here alone.  A step can be observed in the
+pass that makes it: it hands each strip, just before it is written over,
+to a reader (`reduced.read_strips`), with the column sums it has taken.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ __all__ = [
     "check_int",
     "check_phase",
     "check_marked",
-    "strip_rows",
+    "strips",
     "step_grid",
     "apply_step",
     "evolve",
@@ -170,10 +170,12 @@ def initial_grid(n_vertices: int) -> np.ndarray:
     return grid
 
 
-def strip_rows(n_vertices: int) -> int:
-    """Rows per strip of an observed step: 512 KiB of grid, 32 rows at N=1000
-    and 109 at N=300, so a strip stays in L2 while it is read and written."""
-    return max(1, 2**19 // (16 * n_vertices))
+def strips(rows: np.ndarray):
+    """(start, rows[start:stop]) for every strip of a complex grid's `rows`, in order: 512 KiB,
+    109 rows at N=300 and 32 at N=1000, so a strip stays in L2 while it is read and written."""
+    height = max(1, 2**19 // (16 * rows.shape[1]))
+    for start in range(0, len(rows), height):
+        yield start, rows[start:start + height]
 
 
 def step_grid(
@@ -189,12 +191,12 @@ def step_grid(
     is written, `grid` is refused if an amplitude is not finite, and `out`
     if it is not a complex N x N array.
 
-    With a `reader`, `grid` is read in the pass that steps it, and the step
-    returns (out, reader(grid, colsum, marked, transposed, strips)): colsum
-    is grid.sum(axis=0), and `strips` yields (start, rows), the grid's rows
-    start..stop (its columns when `transposed`) in strips of
-    `strip_rows(N)`, each just before out is written over it; the marked
-    block and the diagonal are written once, after the last strip.
+    Every step walks out's memory rows in the strips of `strips`.  With a
+    `reader`, `grid` is read in the same pass, and the step returns (out,
+    reader(grid, colsum, marked, transposed, passes)): colsum is
+    grid.sum(axis=0), and `passes` yields each (start, rows) of the grid's
+    `strips` (of its columns when `transposed`) just before out is written
+    over it; the marked block and the diagonal are written after the last.
     """
     n, k = grid.shape[0], len(marked)
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == grid.shape
@@ -221,16 +223,14 @@ def step_grid(
     # its columns, where colsum runs down each strip instead of along it
     flip = not out.flags.c_contiguous
     rows, source = (out.T, grid.T) if flip else (out, grid)
-    height = n if reader is None else strip_rows(n)
 
-    def strips():
-        for start in range(0, n, height):
-            old = source[start:start + height]
+    def stepping():
+        for start, old in strips(source):
             yield start, old
-            np.subtract(scaled[start:start + height, None] if flip else scaled, old,
-                        out=rows[start:start + height])
+            stop = start + len(old)
+            np.subtract(scaled[start:stop, None] if flip else scaled, old, out=rows[start:stop])
 
-    passes = strips()
+    passes = stepping()
     record = None if reader is None else reader(grid, colsum, marked, flip, passes)
     for _ in passes:  # steps what the reader left unread
         pass

@@ -24,13 +24,13 @@ same float from either, whatever the series' horizon.
 
 `observe` reads one full-state grid into what a step record shows: the
 class amplitudes, the norm of the component outside the subspace, the
-marked-edge probability and the norm.  `read_strips` does the reading, in
-strips along the grid's memory rows, so no leftover grid is built;
-`observe` hands it the strips of a grid at rest, and
-`core.step_grid(..., reader=read_strips)` those of the grid it steps, each
-just before writing over it; `step_records`, the loop behind the full and
-oracle engines' step records, steps with it, and `series_records` gives
-the reduced engine's, from `component_series`.  `project` validates a grid.
+marked-edge probability and the norm.  `read_strips` does the reading,
+strip by strip, so no leftover grid is built; the strips are `core.strips`
+of the grid's memory rows, the same for a grid at rest (`observe`) and for
+the grid `core.step_grid(..., reader=read_strips)` steps, each handed over
+just before it is written over.  `step_records`, the loop behind the full
+and oracle engines' step records, steps with it, and `series_records`
+gives the reduced engine's, from `component_series`.  `project` validates a grid.
 N, K and step counts are read by `core.check_int`, so N >= 4, K >= 2 and
 steps >= 0 are Python ints here; K <= N-2 and N(N-1) within the float
 range are checked on top.
@@ -129,15 +129,12 @@ def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
 def observe(grid: np.ndarray, marked: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     """(c1..c4, residual, p_marked, norm) of an N x N grid, without validating it.
 
-    `marked` is the sorted marked-vertex array, with 2 <= K <= N-2.  The
-    grid is read by `read_strips` along its memory rows, so the record is
-    the one a step with that reader gives of the grid it steps.
+    `marked` is the sorted marked-vertex array, with 2 <= K <= N-2.  `read_strips`
+    reads the `core.strips` of its memory rows, as a step with that reader does.
     """
     transposed = not grid.flags.c_contiguous
-    rows = grid.T if transposed else grid
-    height = core.strip_rows(len(rows))
-    strips = ((start, rows[start:start + height]) for start in range(0, len(rows), height))
-    return read_strips(grid, grid.sum(axis=0), marked, transposed, strips)
+    return read_strips(grid, grid.sum(axis=0), marked, transposed,
+                       core.strips(grid.T if transposed else grid))
 
 
 def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transposed: bool,
@@ -146,7 +143,8 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
 
     `colsum` is grid.sum(axis=0); `strips` yields every (start, rows) in
     order, rows being the grid's rows start..stop, or its columns when
-    `transposed`.  Each strip is centred on the class means of colsum,
+    `transposed`; the first strip is the tallest, and sizes the scratch.
+    Each strip is centred on the class means of colsum,
     giving its squared distance from them (a norm of per-entry
     differences, not a difference of squared norms, which would bottom out
     near sqrt(eps)) and the sum of what is left, which keeps the digits of
@@ -167,15 +165,12 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
     row_class, column_centre = (0, centres[1]) if transposed else (1, centres[0])
     row_centre = np.full(n, centres[row_class])  # by column, on marked rows
     row_centre[marked] = centres[3]
-    work = np.empty((min(core.strip_rows(n), n), n), dtype=np.complex128)
-    # one dot per row: below N = 5000 each is too short for OpenBLAS to wake
-    # its threads, which would then spin through the rest of the pass
-    pairs = work.view(np.float64)
-    row_vectors, column_vectors = pairs[:, None, :], pairs[:, :, None]
-    leftover_sq, left_sum = 0.0, 0.0
+    work, leftover_sq, left_sum = None, 0.0, 0.0
     vertices = marked.tolist()
     for start, strip in strips:
         h = len(strip)
+        if work is None:
+            work = np.empty(strip.shape, dtype=np.complex128)
         left = work[:h]
         np.subtract(strip, centres[2], out=left)
         left[:, marked] = strip[:, marked] - column_centre
@@ -184,7 +179,10 @@ def read_strips(grid: np.ndarray, colsum: np.ndarray, marked: np.ndarray, transp
             local = marked[lo:hi] - start
             left[local] = strip[local] - row_centre
         left.reshape(-1)[start::n + 1] = 0.0  # the diagonal (m, m) is no edge
-        leftover_sq += float(np.matmul(row_vectors[:h], column_vectors[:h]).sum())
+        # one dot per row: below N = 5000 each is too short for OpenBLAS to wake
+        # its threads, which would then spin through the rest of the pass
+        pairs = left.view(np.float64)
+        leftover_sq += float(np.matmul(pairs[:, None, :], pairs[:, :, None]).sum())
         left_sum += left.sum()
     total = complex(left_sum) + sum(size * centre for size, centre in zip(sizes, centres))
     sums = (s1, s2, total - s1 - s2 - s4, s4)

@@ -323,13 +323,14 @@ class TestLocalRulesAcrossStrips:
     @pytest.mark.parametrize("observed", [False, True], ids=["bare", "observed"])
     def test_matches_the_naive_grid_step(self, step, phase, layout, in_place, observed):
         n, marked = STRIPPED_N, STRIPPED_MARKED
-        assert core.strip_rows(n) == 109
         cfg = WalkConfig(n, frozenset(marked), phase)
         f = OracleFunction(n, cfg.marked_set)
         steps = {"apply_step": lambda grid, **kw: core.apply_step(grid, cfg, **kw),
                  "oracle_step": lambda grid, **kw: oracle.oracle_step(grid, f, QueryLedger(),
                                                                       **kw)}
         grid = grid_of(random_state(np.random.default_rng(11), n * (n - 1)), n)
+        assert [(start, len(rows)) for start, rows in core.strips(grid)] == [
+            (0, 109), (109, 109), (218, 82)]
         expected = naive_grid_step(grid, marked, phase)
         if layout == "transposed":
             grid = grid.T.copy().T

@@ -156,17 +156,26 @@ def test_relabelling_vertices_commutes_with_the_step(walk, random):
         assert np.abs(packed_of(moved) - relabel_state(state, n, perm)).max() < 1e-13
 
 
-#: sizes read in two or more strips of `core.strip_rows(N)` rows
+#: sizes read in two or more of the `core.strips` of a grid
 MULTI_STRIP_SIZES = (182, 183, 200, 256, 300)
+
+
+def strip_starts(n):
+    """The first row of every strip of an N x N grid."""
+    return [start for start, _ in core.strips(np.empty((n, n), dtype=complex))]
 
 
 def strip_edges(n):
     """The first and last rows of every strip of an N x N grid, and their neighbours."""
-    height = core.strip_rows(n)
     edges = {0, 1, n - 2, n - 1}
-    for start in range(height, n, height):
+    for start in strip_starts(n):
         edges |= {start - 2, start - 1, start, start + 1}
     return sorted(v for v in edges if 0 <= v < n)
+
+
+def test_observed_sizes_are_read_in_one_two_and_three_strips():
+    assert len(strip_starts(70)) == 1
+    assert sorted({len(strip_starts(n)) for n in MULTI_STRIP_SIZES}) == [2, 3]
 
 
 @st.composite
@@ -248,12 +257,14 @@ def test_stepped_record_matches_observe_and_the_naive_class_basis(case, step, ph
         comps, residual, p_marked, norm = record
         observed = reduced.observe(before, np.array(marked))
         if layout == "strided":
+            # `before` is C-ordered, while the strided grid steps along its columns
             assert np.abs(comps - observed[0]).max() < 1e-15
+            assert abs(residual - observed[1]) < 1e-13
+            assert abs(norm - observed[3]) < 1e-13
         else:
             np.testing.assert_array_equal(comps, observed[0])
+            assert (residual, norm) == (observed[1], observed[3])
         assert p_marked == observed[2]
-        assert abs(residual - observed[1]) < 1e-13
-        assert abs(norm - observed[3]) < 1e-13
         expected = basis.conj().T @ state
         assert np.abs(comps - expected).max() < 1e-12
         assert abs(residual - np.linalg.norm(state - basis @ expected)) < 1e-12
