@@ -5,14 +5,20 @@ run    evolves a walk and writes one record per step (or one summary row
 verify executes the invariant suites and reports pass/fail per suite.
 stats  prints multi-run discovery statistics, exact or simulated.
 
-`run` and `stats` build one table, a dict of equal-length columns of
-Python values (int, float, str or None), plus a summary dict.  `run` only
-formats the step records of `reduced.step_records` (full, oracle engines)
-or `reduced.series_records` (reduced); a sweep keeps each point's summary,
-read from the p_marked column, and builds no step table.  One CSV
-writer and one JSON writer format every table: the CSV writer picks each
-column's printf format once, from its first value, and the JSON rows are
-dicts zipped from the columns.  Both stream their text in batches.
+`run` and `stats` build one table, a dict of equal-length columns, plus a
+summary dict.  `run` only formats the step records of
+`reduced.step_records` (full, oracle engines) or `reduced.series_records`
+(reduced), and keeps them as numpy columns until they are written; a sweep
+keeps each point's summary, read from the p_marked column, and builds no
+step table.  Sweep and stats columns are lists of Python values (int,
+float, str or None).  One CSV writer and one JSON writer format every
+table.  The CSV writer picks each column's printf format once, from its
+first value, and renders the rows `_CHUNK` at a time: a numpy column that
+holds one bit pattern is formatted once, into the row template, and one
+whose bits equal an earlier column's prints that column's text, formatted
+once per chunk.  Bits, not values, are compared, so 0.0 and -0.0 stay
+apart.  The JSON writer turns the columns into lists one at a time, and
+its rows are dicts zipped from them; it streams its text in batches.
 
 Start-up.  Importing this module loads the numpy-free input contract
 only; argparse is loaded when `main` parses.  Each command imports what
@@ -34,7 +40,7 @@ import math
 import os
 import sys
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 
 from .contract import check_int
 
@@ -86,26 +92,77 @@ def _stream(handle, pieces) -> None:
         handle.write("".join(batch))
 
 
-def _write_csv(handle, table: dict[str, list], summary: dict) -> None:
+# rows the CSV writer renders at a time
+_CHUNK = 1024
+
+
+def _values(column, start: int, stop: int) -> list:
+    """Rows start..stop-1 of a list or numpy column, as Python values."""
+    chunk = column[start:stop]
+    return chunk if isinstance(column, list) else chunk.tolist()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two numpy columns (b may be one row, broadcast) hold the same
+    dtype and bit patterns: 0.0 and -0.0 differ, NaN equals its own bits."""
+    def bits(column):
+        return column.view(f"i{column.itemsize}")
+
+    return a.dtype == b.dtype and bool((bits(a) == bits(b)).all())
+
+
+def _write_csv(handle, table: dict[str, list | np.ndarray], summary: dict) -> None:
     """A header, one line per row, then one `# summary key=value` line per key."""
     handle.write(",".join(table) + "\n")
-    line = ",".join(_FORMATS[type(column[0])] for column in table.values()) + "\n"
-    _stream(handle, map(line.__mod__, zip(*table.values())))
+    # a field is the text of a constant column, or the index of the source
+    # column it prints; a source that two fields print is formatted to text
+    fields, sources, shared = [], [], set()
+    for column in table.values():
+        first = _values(column, 0, 1)[0]
+        fmt = _FORMATS[type(first)]
+        array = not isinstance(column, list)
+        if array and _same_bits(column, column[:1]):
+            fields.append(fmt % first)  # numbers: no "%" to escape
+            continue
+        twin = next((i for i, (earlier, _) in enumerate(sources)
+                     if array and not isinstance(earlier, list) and _same_bits(earlier, column)),
+                    None)
+        if twin is None:
+            fields.append(len(sources))
+            sources.append((column, fmt))
+        else:
+            fields.append(twin)
+            shared.add(twin)
+    template = ",".join(field if isinstance(field, str) else "%s" if field in shared
+                        else sources[field][1] for field in fields) + "\n"
+    rows = len(next(iter(table.values())))
+    for start in range(0, rows, _CHUNK):
+        stop = min(start + _CHUNK, rows)
+        values = [_values(column, start, stop) for column, _ in sources]
+        for i in shared:
+            values[i] = list(map(sources[i][1].__mod__, values[i]))
+        args = [values[field] for field in fields if not isinstance(field, str)]
+        lines = zip(*args) if args else repeat((), stop - start)
+        handle.write("".join(map(template.__mod__, lines)))
     for key in sorted(summary):
         handle.write(f"# summary {key}={_FORMATS[type(summary[key])] % summary[key]}\n")
 
 
-def _write_json(handle, spec: dict, table: dict[str, list], summary: dict) -> None:
-    """One object of spec, rows and summary, keys sorted."""
+def _write_json(handle, spec: dict, table: dict[str, list | np.ndarray], summary: dict) -> None:
+    """One object of spec, rows and summary, keys sorted.  Each numpy column
+    of the table is replaced by its list before the next is converted."""
     import json
 
+    for key in table:
+        if not isinstance(table[key], list):
+            table[key] = table[key].tolist()
     rows = [dict(zip(table, row)) for row in zip(*table.values())]
     payload = {"spec": spec, "rows": rows, "summary": summary}
     _stream(handle, json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
     handle.write("\n")
 
 
-def _emit(args, spec: dict, table: dict[str, list], summary: dict) -> int:
+def _emit(args, spec: dict, table: dict[str, list | np.ndarray], summary: dict) -> int:
     """Write a table as --format to --out, or to stdout; 3 if --out cannot be written."""
     def write(handle) -> None:
         if args.format == "csv":
@@ -127,8 +184,9 @@ def _emit(args, spec: dict, table: dict[str, list], summary: dict) -> int:
 
 # bytes per step record the memory guard counts: the peak RSS of `walk run
 # --engine reduced --n 100000 --k 2 --steps 200000|400000`, minus that of the
-# 0-step run, is at most 463 B (CSV) and 673 B (JSON) per record; plus 25%
-_ROW_BYTES = {"csv": 579, "json": 842}
+# 0-step run, is at most 186 B (CSV, numpy columns) and 629 B (JSON, a dict
+# per row) per record; CSV plus 25%, JSON 25% over an earlier 673 B peak
+_ROW_BYTES = {"csv": 233, "json": 842}
 
 
 def _gib(nbytes: int) -> str:
@@ -180,13 +238,15 @@ def _parse_marked(args, n: int) -> frozenset[int]:
 
 
 def _step_table(comps: np.ndarray, residual: np.ndarray, p_marked: np.ndarray,
-                norm: np.ndarray) -> dict[str, list]:
-    """The step records of one graph size, one column per field."""
-    w1, w2, w3, w4 = (abs(comps) ** 2).T.tolist()
+                norm: np.ndarray) -> dict[str, np.ndarray]:
+    """The step records of one graph size, one numpy column per field."""
+    import numpy as np
+
+    w1, w2, w3, w4 = (abs(c) ** 2 for c in comps.T)
     return {
-        "step": list(range(len(comps))), "p_marked": p_marked.tolist(),
+        "step": np.arange(len(comps)), "p_marked": p_marked,
         "p_w1": w1, "p_w2": w2, "p_w3": w3, "p_w4": w4,
-        "residual": residual.tolist(), "norm_error": abs(norm - 1.0).tolist(),
+        "residual": residual, "norm_error": abs(norm - 1.0),
     }
 
 

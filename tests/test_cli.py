@@ -309,7 +309,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: k=20000 needs") and "for the marked set" in err
 
-    @pytest.mark.parametrize("fmt, row_bytes", [("csv", 579), ("json", 842)])
+    @pytest.mark.parametrize("fmt, row_bytes", [("csv", 233), ("json", 842)])
     def test_step_records_are_refused_beyond_exactly_their_counted_bytes(
         self, fmt, row_bytes, monkeypatch, tmp_path, capsys
     ):
@@ -442,6 +442,40 @@ class TestWriterContract:
         assert [sorted(row) for row in payload["rows"]] == [sorted(header)] * len(rows)
         assert [[csv_text(row[c]) for c in header] for row in payload["rows"]] == rows
         assert {k: csv_text(v) for k, v in payload["summary"].items()} == summary
+
+    @pytest.mark.parametrize("rows", [1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
+                                      2 * cli._CHUNK + 1])
+    def test_csv_equals_a_per_row_rendering(self, rows):
+        # the writer formats a constant numpy column once and a column whose
+        # bits equal an earlier one's once per chunk; printed row by row, each
+        # field must still be its own value's text
+        index = np.arange(rows)
+        floats = np.random.default_rng(rows).standard_normal(rows)
+        table = {
+            "step": index,
+            "a": floats,
+            "a_twin": floats.copy(),
+            "constant": np.full(rows, 0.1),
+            "negative_zero": np.full(rows, -0.0),
+            "signed_zeros": np.where(index % 3 == 1, -0.0, 0.0),
+            # equal to signed_zeros by value, not by bits
+            "flipped_zeros": np.where(index % 3 == 1, 0.0, -0.0),
+            "specials": np.array([np.nan, np.inf, -np.inf, 2.5])[index % 4],
+            "specials_twin": np.array([np.nan, np.inf, -np.inf, 2.5])[index % 4],
+            "count": [3 * i for i in range(rows)],
+            "label": [f"r{i}" for i in range(rows)],
+            "nothing": [None] * rows,
+        }
+        summary = {"points": rows, "engine": "test", "p": 0.1}
+        handle = io.StringIO()
+        cli._write_csv(handle, table, summary)
+        line = "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s,%.0s\n"
+        columns = [c if isinstance(c, list) else c.tolist() for c in table.values()]
+        expected = ",".join(table) + "\n" + "".join(line % row for row in zip(*columns))
+        expected += "# summary engine=test\n# summary p=0.10000000000000001\n"
+        expected += f"# summary points={rows}\n"
+        assert handle.getvalue() == expected
+        assert ",-0,0," in expected  # the data tells -0.0 from 0.0
 
 
 class TestVerifyCommand:
