@@ -184,9 +184,9 @@ def _emit(args, spec: dict, table: dict[str, list | np.ndarray], summary: dict) 
 
 # bytes per step record the memory guard counts: the peak RSS of `walk run
 # --engine reduced --n 100000 --k 2 --steps 200000|400000`, minus that of the
-# 0-step run, is at most 186 B (CSV, numpy columns) and 629 B (JSON, a dict
+# 0-step run, is at most 172 B (CSV, numpy columns) and 629 B (JSON, a dict
 # per row) per record; CSV plus 25%, JSON 25% over an earlier 673 B peak
-_ROW_BYTES = {"csv": 233, "json": 842}
+_ROW_BYTES = {"csv": 215, "json": 842}
 
 
 def _gib(nbytes: int) -> str:

@@ -39,6 +39,12 @@ in any memory order.  Every step reads finiteness from colsum: a
 non-finite amplitude makes its column sum non-finite, and only then is
 the grid checked entry by entry, before anything is written.
 
+Column sums are added in one order, decided here alone by `column_sums`
+and taken by every step and every record of a grid: numpy's pairwise sum
+where a grid's columns run along memory (the transposed half of the
+steps), and otherwise blocks of isqrt(N) rows, added in order: N rows
+added one after another would cost p_marked about a digit at N = 300.
+
 Every step, and every record of a grid, walks the grid's memory rows in
 the strips of `strips`, decided here alone.  A step can be observed in the
 pass that makes it: it hands each strip, just before it is written over,
@@ -66,6 +72,7 @@ __all__ = [
     "check_phase",
     "check_marked",
     "strips",
+    "column_sums",
     "step_grid",
     "apply_step",
     "evolve",
@@ -178,6 +185,26 @@ def strips(rows: np.ndarray):
         yield start, rows[start:start + height]
 
 
+def column_sums(grid: np.ndarray) -> np.ndarray:
+    """grid.sum(axis=0), added in the one order that every step and record of `grid` takes.
+
+    Columns that run along memory (`grid.T` of a row-major grid) are numpy's
+    pairwise sums.  Otherwise numpy would add the N rows one after another,
+    an error growing as N*eps; instead blocks of b = isqrt(N) consecutive
+    rows are summed and the block sums added in order, about (b + N/b)*eps.
+    The order depends on the strides alone, so a strided view and its C copy
+    take the same sums."""
+    if grid.strides[0] < grid.strides[1]:
+        return grid.sum(axis=0)
+    n = grid.shape[0]
+    b = math.isqrt(n)
+    whole = n - n % b
+    sums = grid[:whole].reshape(-1, b, n).sum(axis=1).sum(axis=0)
+    if whole < n:
+        sums += grid[whole:].sum(axis=0)
+    return sums
+
+
 def step_grid(
     grid: np.ndarray, marked: np.ndarray, factor: complex = 1.0, out: np.ndarray | None = None,
     *, reader=None,
@@ -194,7 +221,7 @@ def step_grid(
     Every step walks out's memory rows in the strips of `strips`.  With a
     `reader`, `grid` is read in the same pass, and the step returns (out,
     reader(grid, colsum, marked, transposed, passes)): colsum is
-    grid.sum(axis=0), and `passes` yields each (start, rows) of the grid's
+    `column_sums(grid)`, and `passes` yields each (start, rows) of the grid's
     `strips` (of its columns when `transposed`) just before out is written
     over it; the marked block and the diagonal are written after the last.
     """
@@ -203,7 +230,7 @@ def step_grid(
                                 and out.dtype == np.complex128):
         raise ValueError(f"out must be a complex128 array of shape {grid.shape}, got "
                          f"{getattr(out, 'dtype', type(out).__name__)} of shape {np.shape(out)}")
-    colsum = grid.sum(axis=0)
+    colsum = column_sums(grid)
     # a non-finite amplitude makes its column sum, and so their total, non-finite
     if not cmath.isfinite(complex(colsum.sum())):
         _check_finite(grid)  # finite amplitudes whose sum overflows pass

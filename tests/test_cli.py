@@ -309,7 +309,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: k=20000 needs") and "for the marked set" in err
 
-    @pytest.mark.parametrize("fmt, row_bytes", [("csv", 233), ("json", 842)])
+    @pytest.mark.parametrize("fmt, row_bytes", [("csv", 215), ("json", 842)])
     def test_step_records_are_refused_beyond_exactly_their_counted_bytes(
         self, fmt, row_bytes, monkeypatch, tmp_path, capsys
     ):

@@ -1,5 +1,7 @@
 """Full-state engine: scattering step, unitarity, phases, the dense operator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -448,6 +450,29 @@ class TestGridLayout:
         grid[0, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             core.marked_probability(grid, config(5, 2))
+
+
+class TestColumnSums:
+    """`column_sums` is the one order in which a step or a record adds a grid's columns."""
+
+    @pytest.mark.parametrize("n", [3, 17, 300])
+    def test_the_order_follows_the_strides_and_blocks_bound_the_rounding(self, n):
+        rng = np.random.default_rng(n)
+        grid = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # columns along memory: numpy's pairwise sum of each memory row
+        transposed = grid.T.copy().T
+        np.testing.assert_array_equal(core.column_sums(transposed), transposed.sum(axis=0))
+        # a strided view takes the sums of its C copy
+        wide = np.zeros((n, 2 * n), dtype=complex)
+        wide[:, ::2] = grid
+        np.testing.assert_array_equal(core.column_sums(wide[:, ::2]), core.column_sums(grid))
+        # rows in blocks of b = isqrt(N): about (b + N/b) eps of the sum of magnitudes
+        b = math.isqrt(n)
+        bound = (b + n / b + 2) * np.finfo(float).eps
+        sums = core.column_sums(grid)
+        for part in (np.real, np.imag):
+            for column, total in zip(part(grid).T, part(sums)):
+                assert abs(total - math.fsum(column)) <= bound * np.abs(column).sum()
 
 
 class TestMarkedProbability:

@@ -3,7 +3,7 @@
 import math
 import re
 import warnings
-from functools import partial
+from functools import cache, partial
 
 import mpmath
 import numpy as np
@@ -465,6 +465,12 @@ class TestOptimalSteps:
             assert reduced._PI == int(mpmath.floor(mpmath.pi * mpmath.mpf(10) ** digits))
 
 
+@cache
+def exact_p_marked(n, k, steps):
+    """|c4|^2 of rows 0..steps from mpmath; the same for every marked set of size K."""
+    return np.array([abs(mp_search_components(n, k, i)[3]) ** 2 for i in range(steps + 1)])
+
+
 class TestStepRecords:
     @pytest.mark.parametrize("engine", ["apply_step", "oracle_step"])
     def test_records_match_naive_steps_on_the_naive_class_basis(self, engine, monkeypatch):
@@ -502,6 +508,21 @@ class TestStepRecords:
             assert abs(p_marked[i] - np.sum(np.abs(state[inner]) ** 2)) < 1e-12
             assert abs(norm[i] - np.linalg.norm(state)) < 1e-12
             grid = naive_grid_step(grid, marked, np.pi / 2)
+
+    @pytest.mark.parametrize("marked", [(0, 1), (41, 187), (3, 77), (150, 299), (12, 200),
+                                        (99, 100), (7, 293)])
+    @pytest.mark.parametrize("engine", ["apply_step", "oracle_step"])
+    def test_every_row_at_n_300_is_within_3e_14_of_mpmath(self, engine, marked):
+        # the rows `walk run --engine full|oracle --n 300 --steps auto` prints; a
+        # column sum that adds the 300 rows one after another is off by up to 1.2e-13
+        n = 300
+        if engine == "oracle_step":
+            step = partial(oracle.oracle_step, ledger=QueryLedger())
+            walk = OracleFunction(n, frozenset(marked))
+        else:
+            step, walk = core.apply_step, WalkConfig(n, frozenset(marked), np.pi / 2)
+        p_marked = reduced.step_records(step, walk, optimal_steps(n, 2))[2]
+        assert np.abs(p_marked - exact_p_marked(n, 2, optimal_steps(n, 2))).max() < 3e-14
 
     def test_refuses_what_a_record_cannot_read(self):
         for walk in (WalkConfig(10, frozenset({0})), OracleFunction(10, frozenset(range(9)))):
