@@ -184,9 +184,9 @@ def _emit(args, spec: dict, table: dict[str, list | np.ndarray], summary: dict) 
 
 # bytes per step record the memory guard counts: the peak RSS of `walk run
 # --engine reduced --n 100000 --k 2 --steps 200000|400000`, minus that of the
-# 0-step run, is at most 172 B (CSV, numpy columns) and 629 B (JSON, a dict
+# 0-step run, is at most 150 B (CSV, numpy columns) and 629 B (JSON, a dict
 # per row) per record; CSV plus 25%, JSON 25% over an earlier 673 B peak
-_ROW_BYTES = {"csv": 215, "json": 842}
+_ROW_BYTES = {"csv": 188, "json": 842}
 
 
 def _gib(nbytes: int) -> str:
@@ -277,15 +277,15 @@ def _single_run(args, n: int, marked: frozenset[int], phase: float):
                                        oracle.OracleFunction(n, marked), steps)
     else:
         records = reduced.step_records(core.apply_step, core.WalkConfig(n, marked, phase), steps)
-    p_marked = records[2].tolist()
+    p_marked = records[2]
     summary = {
         "n": n,
         "k": k,
         "engine": engine,
         "steps": steps,
         "n_opt": n_opt,
-        "p_final": p_marked[-1],
-        "p_peak": max(p_marked),
+        "p_final": float(p_marked[-1]),
+        "p_peak": float(p_marked.max()),
         "quantum_calls": ledger.quantum_calls if engine == "oracle" else 2 * steps,
         "classical_queries": oracle.classical_query_baseline(n, k),
     }

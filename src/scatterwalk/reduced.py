@@ -20,7 +20,11 @@ array, and the spectral functions (`spectral_decompose`, which returns
 an (eigenvalues, eigenvectors) pair, `evolve_reduced` and
 `component_series`) take any such array.  `evolve_reduced` and
 `component_series` are one evaluation: the state after n steps is the
-same float from either, whatever the series' horizon.
+same float from either, whatever the series' horizon.  The array as built
+records its (N, K, phi), and at phi = pi/2, the phase of every search, it
+is evaluated in its two real invariant planes with both rotation angles
+taken from N and K in integers, which holds at every accepted N; any
+other array goes through its eigenvectors.
 
 `observe` reads one full-state grid into what a step record shows: the
 class amplitudes, the norm of the component outside the subspace, the
@@ -87,15 +91,27 @@ def _check_range(n_vertices: int, k_marked: int) -> tuple[int, int]:
     return n, k
 
 
-def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray:
-    """The read-only 4x4 complex step operator for (N, K, phi).
+class _Operator(np.ndarray):
+    """`reduced_operator`'s array as built, whose `record` is its (N, K, phi).
 
-    Columns are the images of w1..w4 under one step: scattering mixes the
-    cross classes w1/w2 with w3 and w4, and every transition into, out of,
-    or back inside the marked class picks up e^{i*phi} or e^{2i*phi}.
+    Only that array records: a copy, a view or an unpickled array is left with
+    the class's `record` of None (no `__array_finalize__` passes it on), and a
+    ufunc result, `np.asarray` and `np.array` are plain arrays.  Its repr is
+    the plain array's.
     """
-    n, k = _check_range(n_vertices, k_marked)
-    phase = core.check_phase(phase)
+
+    record = None
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = array.view(np.ndarray)
+        return array[()] if return_scalar else array
+
+    def __repr__(self) -> str:
+        return repr(self.view(np.ndarray))
+
+
+def _build(n: int, k: int, phase: float) -> np.ndarray:
+    """The 4x4 step of validated (N, K, phi), writable and recording nothing."""
     t, r = core.coefficients(n)
     e = np.exp(1j * phase)
     m = np.zeros((4, 4), dtype=np.complex128)
@@ -107,8 +123,24 @@ def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray
     m[2, 2] = r - t * (k - 1)
     m[1, 3] = t * e * math.sqrt((k - 1) * (n - k))
     m[3, 3] = (t * (k - 2) - r) * e * e
-    m.setflags(write=False)
     return m
+
+
+def reduced_operator(n_vertices: int, k_marked: int, phase: float) -> np.ndarray:
+    """The read-only 4x4 complex step operator for (N, K, phi).
+
+    Columns are the images of w1..w4 under one step: scattering mixes the
+    cross classes w1/w2 with w3 and w4, and every transition into, out of,
+    or back inside the marked class picks up e^{i*phi} or e^{2i*phi}.
+    The array records (N, K, phi), which the spectral functions read while
+    it still holds the bits it was built with.
+    """
+    n, k = _check_range(n_vertices, k_marked)
+    phase = core.check_phase(phase)
+    op = _build(n, k, phase).view(_Operator)
+    op.record = (n, k, phase)
+    op.setflags(write=False)
+    return op
 
 
 def reduced_initial_state(n_vertices: int, k_marked: int) -> np.ndarray:
@@ -253,18 +285,90 @@ def spectral_decompose(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vecs
 
 
+def _root(num: int, den: int) -> float:
+    """sqrt(num / den) of positive integers, rounded once: an integer square root scaled by
+    2**64, then one correctly rounded int/int division, so no product has to fit a float."""
+    return math.isqrt((num * den) << 128) / (den << 64)
+
+
+def _search_planes(op: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(basis, angles) of the invariant planes of `op`, or None unless `op` is
+    `reduced_operator(N, K, pi/2)` as built and still holds those bits.
+
+    R = D^-1 op D with D = diag(1, 1, 1, i) is real orthogonal: it turns by theta_1 in one
+    plane and by theta_2 = pi - delta_2 in the other, the eigenspaces of S = R + R^T for
+    2cos(theta_1) > 2cos(theta_2).  (N-1)S/2 is block diagonal: [[1, g], [g, N-1-2K]] on
+    p = (w1+w2)/sqrt2 and w3 (g^2 = 2K(N-K-1)), [[-1, g], [g, N+1-2K]] on q = (w1-w2)/sqrt2
+    and w4 (g^2 = 2(K-1)(N-K)), both of discriminant D' = 2(N-1)^2 + 2 - (N-2K)^2 =
+    h^2 + 4g^2, h the difference of the diagonal.  A block's eigenvector x+ or y+ of the
+    larger eigenvalue has the positive components, free of cancellation,
+        sqrt((sqrt D' + |h|) / (2 sqrt D'))     on the axis of the larger diagonal entry,
+        sqrt(2g^2 / (sqrt D' (sqrt D' + |h|)))  on the other,
+    and x- or y- is it turned by 90 degrees.  The basis columns are x+, y+ (the theta_1 plane)
+    and x-, -y- (the theta_2 plane): R turns each first column toward the second, one sign
+    for every (N, K), as the vectors vary continuously with N and K and neither sine
+    vanishes.  The angles (theta_1, -delta_2) come from the half-angle forms, so pi's
+    rounding never enters n * theta_2:
+        sin^2(theta_1/2) = 2K(K-1) / ((N-1)(N+2K-2+sqrt D')),
+        sin^2(delta_2/2) = 2(N-K)(N-K-1) / ((N-1)(3N-2K-2+sqrt D')).
+    Each entry is one `_root` of integers and of sqrt(D') * 2**64 floored.
+    """
+    record = getattr(op, "record", None)
+    if record is None or record[2] != math.pi / 2:
+        return None
+    built = _build(*record)
+    if (op.dtype, op.shape, op.tobytes()) != (built.dtype, built.shape, built.tobytes()):
+        return None
+    n, k, _ = record
+    root_d = math.isqrt((2 * (n - 1) ** 2 + 2 - (n - 2 * k) ** 2) << 128)
+    blocks = []
+    for h, g2 in ((n - 2 - 2 * k, 2 * k * (n - k - 1)), (n + 2 - 2 * k, 2 * (k - 1) * (n - k))):
+        wide = root_d + (abs(h) << 64)
+        big = _root(wide, 2 * root_d), _root(wide, 4 * root_d)  # and over sqrt 2
+        small = _root(g2 << 129, root_d * wide), _root(g2 << 128, root_d * wide)
+        blocks.append((small, big) if h >= 0 else (big, small))
+    # x+ on p and w3, y+ on q and w4, each with its value over sqrt 2 (a w1 or w2 entry)
+    ((xp, xp_), (x3, x3_)), ((yq, yq_), (y4, y4_)) = blocks
+    basis = np.array([[xp_, xp_, x3, 0.0], [yq_, -yq_, 0.0, y4],      # x+, y+
+                      [-x3_, -x3_, xp, 0.0], [y4_, -y4_, 0.0, -yq]]).T  # x-, -y-
+    theta = 2.0 * math.asin(_root(2 * k * (k - 1) << 64,
+                                  (n - 1) * (((n + 2 * k - 2) << 64) + root_d)))
+    delta = 2.0 * math.asin(_root(2 * (n - k) * (n - k - 1) << 64,
+                                  (n - 1) * (((3 * n - 2 * k - 2) << 64) + root_d)))
+    return basis, np.array([theta, -delta])
+
+
 def _spectral_states(op: np.ndarray, state: np.ndarray, steps) -> np.ndarray:
-    """Reduced state after `steps`, an int or an array of step counts, each eigenvalue's power
-    taken as a phase exp(i n theta): a power lambda ** n would carry the rounding-level
-    modulus error of lambda as |lambda| ** n.  The last product sums its four terms in one
-    order for one state and for a series, so the state after n steps is one float whatever
-    else is evaluated with it (`@` would round a vector and a matrix kernel differently).
-    After 0 steps it is `state` itself, not V(V^H state), whose small components lose digits."""
+    """Reduced state after `steps`, an int or an array of step counts.
+
+    `reduced_operator(N, K, pi/2)` as built is turned in its invariant planes
+    (`_search_planes`): after n steps, the part of D^-1 state in a plane is its projection
+    times cos(n angle) plus the projection's quarter turn times sin(n angle), both read off
+    exp(i n angle), and the theta_2 plane's part is (-1)^n times that for angle -delta_2, the
+    parity taken from the integer n.  Any other operator goes through `spectral_decompose`,
+    each eigenvalue's power taken as a phase exp(i n theta): a power lambda ** n would carry
+    the rounding-level modulus error of lambda as |lambda| ** n.  Either way the last
+    product sums its four terms in one order for one state and for a series, so the state
+    after n steps is one float whatever else is evaluated with it (`@` would round a vector
+    and a matrix kernel differently).  After 0 steps it is `state` itself, not its round
+    trip through the basis, whose small components lose digits."""
     state = _reduced_state(state)
-    eigenvalues, vecs = spectral_decompose(op)
-    powers = np.multiply.outer(np.asarray(steps, dtype=np.float64), np.angle(eigenvalues)) * 1j
+    planes = _search_planes(op)
+    if planes is None:
+        eigenvalues, vecs = spectral_decompose(op)
+        angles = np.angle(eigenvalues)
+    else:
+        basis, angles = planes
+        a1, b1, a2, b2 = basis.T @ (state * [1, 1, 1, -1j])  # D^-1 state in the basis
+        turns = np.array([[a1, -b1, 0, 0], [b1, a1, 0, 0], [0, 0, a2, -b2], [0, 0, b2, a2]])
+        vecs = (basis @ turns) * [[1], [1], [1], [1j]]  # D (projection, quarter turn) per plane
+    powers = np.multiply.outer(np.asarray(steps, dtype=np.float64), angles) * 1j
     np.exp(powers, out=powers)
-    powers *= vecs.conj().T @ state
+    if planes is None:
+        powers *= vecs.conj().T @ state
+    else:
+        powers[..., 1] *= np.where(np.asarray(steps) % 2, -1.0, 1.0)
+        powers = powers.view(np.float64)  # (cos, sin) of n theta_1, then of -n delta_2
     states = np.einsum("...j,ij->...i", powers, vecs)
     states[np.asarray(steps) == 0] = state
     return states
@@ -273,8 +377,10 @@ def _spectral_states(op: np.ndarray, state: np.ndarray, steps) -> np.ndarray:
 def evolve_reduced(state: np.ndarray, op: np.ndarray, steps: int) -> np.ndarray:
     """State after `steps` applications of the 4x4 reduced operator `op`.
 
-    Computed through the spectral decomposition, each eigenvalue's power
-    taken as a phase, so the cost does not grow with the step count.
+    Computed in closed form, so the cost does not grow with the step count:
+    `reduced_operator(N, K, pi/2)` as built in its invariant planes, exact at
+    every accepted N, and any other array through its eigenvectors, each
+    eigenvalue's power taken as a phase.
     """
     return _spectral_states(op, state, core.check_int("steps", steps, 0))
 
